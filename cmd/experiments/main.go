@@ -14,9 +14,10 @@
 // Result tables go to stdout; progress headers and all diagnostics go
 // to stderr, so `experiments -table2 > table2.txt` captures exactly
 // the table (the golden files under internal/experiments/testdata are
-// compared against stdout alone). -metrics and -trace print the
-// internal/obs report after the run, to stderr or to -obs-out;
-// -debug-addr serves /metrics, /trace and /debug/pprof over HTTP.
+// compared against stdout alone). The run-control and observability
+// flags are the shared set of cmd/internal/runflags; -checkpoint
+// covers the E5/E6/E8/E9 engines, and the obs reports go to stderr or
+// to -obs-out.
 package main
 
 import (
@@ -26,9 +27,9 @@ import (
 	"io"
 	"os"
 
+	"mstx/cmd/internal/runflags"
 	"mstx/internal/experiments"
 	"mstx/internal/obs"
-	"mstx/internal/resilient"
 )
 
 func main() {
@@ -37,7 +38,7 @@ func main() {
 
 // run is the testable entry point: parse args, run the selected
 // experiments, return the exit code (0 ok, 1 failure, 2 usage error).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -55,14 +56,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick     = fs.Bool("quick", false, "reduced sizes for a fast smoke run")
 		workers   = fs.Int("workers", 0, "Monte-Carlo worker fan-out for E5/E6 (0 = GOMAXPROCS; results identical for any value)")
 		list      = fs.Bool("list", false, "print the selected experiment IDs without running them")
-		metrics   = fs.Bool("metrics", false, "print a Prometheus-format metrics report after the run")
-		trace     = fs.Bool("trace", false, "print a span trace report after the run")
-		obsOut    = fs.String("obs-out", "", "write the -metrics/-trace reports to this file instead of stderr")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address")
-		ckptDir   = fs.String("checkpoint", "", "checkpoint directory: snapshot E5/E6/E8 engine progress for -resume")
-		ckptEvery = fs.Int("checkpoint-every", 1, "snapshot every n engine rounds/batches")
-		resume    = fs.Bool("resume", false, "resume from the -checkpoint directory instead of restarting")
-		timeout   = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
+		runConfig = runflags.RegisterRun(fs)
+		obsConfig = runflags.RegisterObs(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -72,43 +67,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(stderr, "experiments: -resume requires -checkpoint")
+	ctx, cancel, ckpt, err := runConfig.Start(context.Background())
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
 		fs.Usage()
 		return 2
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	defer cancel()
+	stopObs, err := obsConfig.Start("experiments", stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
-	var ckpt *resilient.Checkpointer
-	if *ckptDir != "" {
-		ckpt = &resilient.Checkpointer{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume}
-	}
-
-	// Observability: a registry only when asked for, so the default run
-	// keeps the engines on their nil-registry fast path.
-	var reg *obs.Registry
-	if *metrics || *trace || *obsOut != "" || *debugAddr != "" {
-		reg = obs.New()
-		obs.SetDefault(reg)
-		defer obs.SetDefault(nil)
-		if *debugAddr != "" {
-			addr, _, err := obs.ServeDebug(*debugAddr, reg)
-			if err != nil {
-				fmt.Fprintln(stderr, "experiments:", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "experiments: debug server on http://%s (metrics, trace, debug/pprof)\n", addr)
-		}
-		defer func() {
-			if err := writeObsReport(reg, stderr, *metrics || *obsOut != "", *trace, *obsOut); err != nil {
-				fmt.Fprintln(stderr, "experiments:", err)
-			}
-		}()
-	}
+	defer func() { code = stopObs(code) }()
 	runCtx, runSp := obs.Span(nil, "experiments.run")
 	defer runSp.End()
 
@@ -202,29 +173,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeObsReport emits the -metrics and/or -trace run report to
-// stderr, or to the -obs-out file when given (metrics implied then).
-func writeObsReport(reg *obs.Registry, stderr io.Writer, metrics, trace bool, outPath string) error {
-	w := stderr
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if metrics {
-		if err := reg.WriteText(w); err != nil {
-			return err
-		}
-	}
-	if trace {
-		if err := reg.WriteTrace(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

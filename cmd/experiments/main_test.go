@@ -15,13 +15,70 @@ func runCapture(t *testing.T, args ...string) (code int, stdout, stderr string) 
 }
 
 func TestBadFlagExitsWithUsage(t *testing.T) {
-	code, _, stderr := runCapture(t, "-bogus")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bogus"}, "flag provided but not defined"},
+		{[]string{"-resume"}, "-resume requires -checkpoint"},
+	} {
+		code, _, stderr := runCapture(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%q: exit code = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "-fig1") {
+			t.Errorf("%q: stderr lacks %q or the usage text:\n%s", tc.args, tc.want, stderr)
+		}
+	}
+}
+
+// TestHelpFlagsUnchanged pins the flag names, types and defaults -h
+// lists, so the shared run-control set cannot add, drop or re-default
+// a flag.
+func TestHelpFlagsUnchanged(t *testing.T) {
+	code, _, usage := runCapture(t, "-h")
 	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+		t.Fatalf("-h exit code = %d, want 2", code)
 	}
-	if !strings.Contains(stderr, "Usage") && !strings.Contains(stderr, "-fig1") {
-		t.Errorf("stderr carries no usage text:\n%s", stderr)
+	const want = `-checkpoint string =
+-checkpoint-every int = 1
+-debug-addr string =
+-e9 =
+-fig1 =
+-fig2 =
+-fig3 =
+-fig4 =
+-fig6 =
+-list =
+-metrics =
+-obs-out string =
+-path =
+-quick =
+-resume =
+-table1 =
+-table2 =
+-timeout duration =
+-tones =
+-topoff =
+-trace =
+-workers int =`
+	if got := helpFlags(usage); got != want {
+		t.Errorf("-h flags drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+}
+
+// helpFlags lists the flags of a -h usage text one per line as
+// "-name [type] = [default]"; -h prints no default for a zero value.
+func helpFlags(usage string) string {
+	var flags []string
+	for _, line := range strings.Split(usage, "\n") {
+		if head, ok := strings.CutPrefix(line, "  -"); ok {
+			flags = append(flags, "-"+head+" =")
+		} else if _, def, ok := strings.Cut(line, "(default "); ok && len(flags) > 0 {
+			flags[len(flags)-1] += " " + strings.TrimSuffix(def, ")")
+		}
+	}
+	return strings.Join(flags, "\n")
 }
 
 func TestPositionalArgsRejected(t *testing.T) {

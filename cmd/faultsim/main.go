@@ -9,6 +9,10 @@
 //	         [-amp 460] [-collapse] [-undetected] [-spectral]
 //	         [-checkpoint dir] [-checkpoint-every n] [-resume]
 //	         [-timeout d]
+//
+// The -checkpoint/-resume/-timeout flags are the run-control half of
+// the shared cmd/internal/runflags set; an interrupted campaign
+// reports its partial results.
 package main
 
 import (
@@ -20,6 +24,7 @@ import (
 	"math/rand"
 	"os"
 
+	"mstx/cmd/internal/runflags"
 	"mstx/internal/atpg"
 	"mstx/internal/campaign"
 	"mstx/internal/digital"
@@ -55,29 +60,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spectral   = fs.Bool("spectral", false, "also run the pooled spectral-signature campaign")
 		noise      = fs.Float64("noise", 1.5, "input noise sigma (codes) for the spectral floor calibration")
 		seed       = fs.Int64("seed", 1, "seed for the spectral calibration capture")
-		ckptDir    = fs.String("checkpoint", "", "checkpoint directory: snapshot campaign progress for -resume")
-		ckptEvery  = fs.Int("checkpoint-every", 1, "snapshot every n completed batches")
-		resume     = fs.Bool("resume", false, "resume from the -checkpoint directory instead of restarting")
-		timeout    = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit); partial results are reported")
+		runConfig  = runflags.RegisterRun(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(stderr, "faultsim: -resume requires -checkpoint")
+	ctx, cancel, ckpt, err := runConfig.Start(context.Background())
+	if err != nil {
+		fmt.Fprintln(stderr, "faultsim:", err)
 		fs.Usage()
 		return 2
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	var ckpt *resilient.Checkpointer
-	if *ckptDir != "" {
-		ckpt = &resilient.Checkpointer{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume}
-	}
+	defer cancel()
 	cfg := simConfig{
 		taps: *taps, width: *width, patterns: *patterns, tones: *tones,
 		amp: *amp, collapse: *collapse, undetected: *undetected,

@@ -36,6 +36,53 @@ func TestRunResumeRequiresCheckpoint(t *testing.T) {
 	}
 }
 
+// TestHelpFlagsUnchanged pins the flag names, types and defaults -h
+// lists, so the shared run-control set cannot add, drop or re-default
+// a flag.
+func TestHelpFlagsUnchanged(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errw); code != 2 {
+		t.Fatalf("-h exited %d, want 2", code)
+	}
+	usage := errw.String()
+	const want = `-amp float = 460
+-atpg =
+-checkpoint string =
+-checkpoint-every int = 1
+-collapse = true
+-cutoff float = 0.15
+-diagnose int = -1
+-dump string =
+-frac int = 8
+-noise float = 1.5
+-patterns int = 1024
+-resume =
+-seed int = 1
+-spectral =
+-taps int = 16
+-timeout duration =
+-tones int = 2
+-undetected =
+-width int = 10`
+	if got := helpFlags(usage); got != want {
+		t.Errorf("-h flags drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// helpFlags lists the flags of a -h usage text one per line as
+// "-name [type] = [default]"; -h prints no default for a zero value.
+func helpFlags(usage string) string {
+	var flags []string
+	for _, line := range strings.Split(usage, "\n") {
+		if head, ok := strings.CutPrefix(line, "  -"); ok {
+			flags = append(flags, "-"+head+" =")
+		} else if _, def, ok := strings.Cut(line, "(default "); ok && len(flags) > 0 {
+			flags[len(flags)-1] += " " + strings.TrimSuffix(def, ")")
+		}
+	}
+	return strings.Join(flags, "\n")
+}
+
 func TestRunBadToneCount(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run(small("-tones", "99"), &out, &errw); code != 1 {

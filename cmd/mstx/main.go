@@ -18,20 +18,10 @@
 // sigmas before executing, -mc-losses prints an engine-backed FCL/YL
 // estimate (with 95% CI half-widths) for every translated test.
 //
-// The observability flags turn the internal/obs layer on: -metrics
-// prints a Prometheus-format metrics report and -trace an indented
-// span report after the run, both to stderr (or to a file with
-// -obs-out, so the reports never mix into piped stdout). -debug-addr
-// additionally serves /metrics, /trace and /debug/pprof over HTTP for
-// the life of the process. With none of these flags the engines run
-// with observability disabled — the nil-registry fast path.
-//
-// The resilience flags bound and snapshot the Monte-Carlo work:
-// -timeout cancels the run's engines at lane granularity after the
-// given duration, -checkpoint makes them snapshot their merged state
-// at round barriers into the given directory, and -resume restores
-// those snapshots so a killed run continues where it stopped with a
-// bit-identical final result.
+// The run-control flags (-checkpoint, -checkpoint-every, -resume,
+// -timeout) and the observability flags (-metrics, -trace, -obs-out,
+// -debug-addr) are the shared set of cmd/internal/runflags: here they
+// bound and snapshot the Monte-Carlo work and report on the run.
 package main
 
 import (
@@ -44,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mstx/cmd/internal/runflags"
 	"mstx/internal/core"
 	"mstx/internal/experiments"
 	"mstx/internal/obs"
@@ -61,7 +52,7 @@ func main() {
 // run is the testable entry point: it parses args, runs the program
 // against the given writers and returns the process exit code (0 ok,
 // 1 runtime failure, 2 usage error).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mstx", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -74,14 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mcSamples = fs.Int("mc-samples", 200000, "Monte-Carlo sample budget per estimate")
 		mcCI      = fs.Float64("mc-ci", 0.005, "95% CI half-width early-stop target for -mc-losses (0 = spend the full budget)")
 		workers   = fs.Int("workers", 0, "Monte-Carlo worker fan-out (0 = GOMAXPROCS; results identical for any value)")
-		ckptDir   = fs.String("checkpoint", "", "snapshot the Monte-Carlo engines' merged state into this directory at round barriers")
-		ckptEvery = fs.Int("checkpoint-every", 1, "save a snapshot every N engine rounds")
-		resume    = fs.Bool("resume", false, "resume from snapshots in the -checkpoint directory")
-		timeout   = fs.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
-		metrics   = fs.Bool("metrics", false, "print a Prometheus-format metrics report after the run")
-		trace     = fs.Bool("trace", false, "print a span trace report after the run")
-		obsOut    = fs.String("obs-out", "", "write the -metrics/-trace reports to this file instead of stderr")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address")
+		runConfig = runflags.RegisterRun(fs)
+		obsConfig = runflags.RegisterObs(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,45 +81,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mstx:", err)
 		return 1
 	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(stderr, "mstx: -resume requires -checkpoint")
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "mstx:", err)
 		fs.Usage()
 		return 2
 	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	ctx, cancel, ckpt, err := runConfig.Start(context.Background())
+	if err != nil {
+		return usage(err)
 	}
-	var ckpt *resilient.Checkpointer
-	if *ckptDir != "" {
-		ckpt = &resilient.Checkpointer{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume}
+	defer cancel()
+	stopObs, err := obsConfig.Start("mstx", stderr)
+	if err != nil {
+		return fail(err)
 	}
-
-	// Observability: install a registry only when a flag asks for it,
-	// so the default run keeps the engines on their nil-registry fast
-	// path. The report is emitted on every exit path (including
-	// failures — a failing run is exactly when the trace matters).
-	var reg *obs.Registry
-	if *metrics || *trace || *obsOut != "" || *debugAddr != "" {
-		reg = obs.New()
-		obs.SetDefault(reg)
-		defer obs.SetDefault(nil)
-		if *debugAddr != "" {
-			addr, _, err := obs.ServeDebug(*debugAddr, reg)
-			if err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stderr, "mstx: debug server on http://%s (metrics, trace, debug/pprof)\n", addr)
-		}
-		defer func() {
-			if err := writeObsReport(reg, stderr, *metrics || *obsOut != "", *trace, *obsOut); err != nil {
-				fmt.Fprintln(stderr, "mstx:", err)
-			}
-		}()
-	}
+	defer func() { code = stopObs(code) }()
 	runCtx, runSp := obs.Span(nil, "mstx.run")
 	defer runSp.End()
 
@@ -164,9 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *faultArg != "" {
 		if err := injectFault(device, *faultArg); err != nil {
-			fmt.Fprintln(stderr, "mstx:", err)
-			fs.Usage()
-			return 2
+			return usage(err)
 		}
 	}
 
@@ -284,31 +243,6 @@ func printMCLosses(ctx context.Context, w io.Writer, plan *translate.Plan, sampl
 		fmt.Fprintf(w, ")\n")
 	}
 	fmt.Fprintln(w)
-	return nil
-}
-
-// writeObsReport emits the -metrics and/or -trace run report to
-// stderr, or to the -obs-out file when given (metrics implied then).
-func writeObsReport(reg *obs.Registry, stderr io.Writer, metrics, trace bool, outPath string) error {
-	w := stderr
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if metrics {
-		if err := reg.WriteText(w); err != nil {
-			return err
-		}
-	}
-	if trace {
-		if err := reg.WriteTrace(w); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

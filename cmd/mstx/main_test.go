@@ -16,13 +16,65 @@ func runCapture(t *testing.T, args ...string) (code int, stdout, stderr string) 
 }
 
 func TestBadFlagExitsWithUsage(t *testing.T) {
-	code, _, stderr := runCapture(t, "-no-such-flag")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"-resume"}, "-resume requires -checkpoint"},
+	} {
+		code, _, stderr := runCapture(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%q: exit code = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "-seed") {
+			t.Errorf("%q: stderr lacks %q or the usage text:\n%s", tc.args, tc.want, stderr)
+		}
+	}
+}
+
+// TestHelpFlagsUnchanged pins the flag names, types and defaults -h
+// lists, so the shared run-control set cannot add, drop or re-default
+// a flag.
+func TestHelpFlagsUnchanged(t *testing.T) {
+	code, _, usage := runCapture(t, "-h")
 	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+		t.Fatalf("-h exit code = %d, want 2", code)
 	}
-	if !strings.Contains(stderr, "Usage") && !strings.Contains(stderr, "-seed") {
-		t.Errorf("stderr carries no usage text:\n%s", stderr)
+	const want = `-checkpoint string =
+-checkpoint-every int = 1
+-debug-addr string =
+-fault string =
+-mc-ci float = 0.005
+-mc-losses =
+-mc-refine =
+-mc-samples int = 200000
+-metrics =
+-n int = 4096
+-obs-out string =
+-plan =
+-resume =
+-seed int =
+-timeout duration =
+-trace =
+-workers int =`
+	if got := helpFlags(usage); got != want {
+		t.Errorf("-h flags drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+}
+
+// helpFlags lists the flags of a -h usage text one per line as
+// "-name [type] = [default]"; -h prints no default for a zero value.
+func helpFlags(usage string) string {
+	var flags []string
+	for _, line := range strings.Split(usage, "\n") {
+		if head, ok := strings.CutPrefix(line, "  -"); ok {
+			flags = append(flags, "-"+head+" =")
+		} else if _, def, ok := strings.Cut(line, "(default "); ok && len(flags) > 0 {
+			flags[len(flags)-1] += " " + strings.TrimSuffix(def, ")")
+		}
+	}
+	return strings.Join(flags, "\n")
 }
 
 func TestPositionalArgsRejected(t *testing.T) {
@@ -149,6 +201,31 @@ func TestObsOutFileIsParseable(t *testing.T) {
 		t.Errorf("-obs-out report lacks the refine counter:\n%s", text)
 	}
 	checkPromParseable(t, text)
+}
+
+// TestObsReportOnFailedRun pins that the obs report is emitted on
+// every exit path: a run whose -timeout expires during -mc-refine
+// exits 1 and still writes its -trace report to -obs-out. A report
+// that cannot be written fails an otherwise clean run.
+func TestObsReportOnFailedRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.txt")
+	code, _, stderr := runCapture(t, "-plan", "-mc-refine", "-mc-samples", "100000000",
+		"-timeout", "50ms", "-trace", "-obs-out", out)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("reading -obs-out file: %v", err)
+	}
+	if text := string(b); !strings.Contains(text, "TRACE") || !strings.Contains(text, "mstx.mc_refine") {
+		t.Errorf("-obs-out report of the failed run lacks the refine span:\n%s", text)
+	}
+
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "report.txt")
+	if code, _, stderr := runCapture(t, "-plan", "-obs-out", missing); code != 1 {
+		t.Errorf("unwritable -obs-out: exit code = %d, want 1; stderr:\n%s", code, stderr)
+	}
 }
 
 func TestFaultyDeviceRejected(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package analysis is the project-invariant static-analysis suite of
 // the mstx repo: a small stdlib-only analyzer framework (go/parser +
-// go/ast + go/types with the source importer — no x/tools dependency)
+// go/ast + go/types over compiler export data — no x/tools dependency)
 // plus a catalog of analyzers that turn the engine-layer contracts of
 // PRs 1–4 into machine-checked invariants:
 //

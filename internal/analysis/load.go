@@ -104,9 +104,10 @@ type Config struct {
 }
 
 // Load parses and type-checks the target packages and everything they
-// import from the module (or fixture tree); stdlib imports go through
-// the source importer. Broken packages are returned, not fatal — only
-// infrastructure failures (unreadable root, no go.mod) are errors.
+// import from the module (or fixture tree); stdlib imports come from
+// the go toolchain's compiler export data. Broken packages are
+// returned, not fatal — only infrastructure failures (unreadable root,
+// no go.mod) are errors.
 func Load(cfg Config) (*Program, error) {
 	root, err := filepath.Abs(cfg.Root)
 	if err != nil {
@@ -125,7 +126,7 @@ func Load(cfg Config) (*Program, error) {
 		WholeProgram: cfg.WholeProgram,
 		pkgs:         map[string]*Package{},
 		loading:      map[string]bool{},
-		std:          importer.ForCompiler(fset, "source", nil),
+		std:          importer.ForCompiler(fset, "gc", nil),
 	}
 	if prog.FixtureRoot != "" {
 		if prog.FixtureRoot, err = filepath.Abs(prog.FixtureRoot); err != nil {
@@ -273,9 +274,9 @@ func (p *Program) dirFor(path string) string {
 }
 
 // Import implements types.Importer over the program: local packages
-// load recursively, everything else defers to the stdlib source
-// importer. A broken local dependency poisons its importer with an
-// error rather than crashing the type checker.
+// load recursively, everything else comes from the compiler export
+// data. A broken local dependency poisons its importer with an error
+// rather than crashing the type checker.
 func (p *Program) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

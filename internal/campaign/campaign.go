@@ -308,7 +308,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	if ckName == "" {
 		ckName = "campaign"
 	}
-	stimHash := HashRecord(xs)
+	stimHash := fault.HashRecord(xs)
 	var (
 		ledgerMu   sync.Mutex
 		done       []bool
@@ -530,7 +530,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 						}
 						var h uint64
 						if memo != nil {
-							h = HashRecord(rec)
+							h = fault.HashRecord(rec)
 							if d, ok := memo.lookup(h, rec); ok {
 								res.Detected = d
 								bMemoized++
@@ -676,20 +676,6 @@ const maxMemoBytes = 256 << 20
 
 func newMemoTable() *memoTable {
 	return &memoTable{buckets: make(map[uint64][]memoEntry)}
-}
-
-// HashRecord is FNV-1a over the record words. It doubles as the
-// engine-facing stimulus identity: checkpoint validation and the
-// service layer's content-addressed result cache key off it. For the
-// in-memory memo table collisions are fine (lookup compares records in
-// full), so word granularity suffices.
-func HashRecord(rec []int64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range rec {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
 }
 
 func recordsEqual(a, b []int64) bool {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"mstx/internal/fault"
 )
 
 // memoVerdict is the pure "detector" of the race test: the verdict a
@@ -44,7 +46,7 @@ func TestMemoTableConcurrentConsistency(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + w)))
 			for r := 0; r < rounds; r++ {
 				rec := recs[rng.Intn(keys)]
-				h := HashRecord(rec)
+				h := fault.HashRecord(rec)
 				if detected, ok := m.lookup(h, rec); ok {
 					if detected != memoVerdict(rec) {
 						errs <- "hit returned a foreign verdict"
@@ -64,7 +66,7 @@ func TestMemoTableConcurrentConsistency(t *testing.T) {
 	// Every record must now be present with its own verdict, exactly
 	// once (racing duplicate inserts collapse to one entry).
 	for i, rec := range recs {
-		h := HashRecord(rec)
+		h := fault.HashRecord(rec)
 		detected, ok := m.lookup(h, rec)
 		if !ok {
 			t.Fatalf("record %d lost", i)
@@ -99,7 +101,7 @@ func TestMemoTableByteCap(t *testing.T) {
 	m := newMemoTable()
 	m.bytes = maxMemoBytes // simulate a full table
 	rec := []int64{1, 2, 3}
-	h := HashRecord(rec)
+	h := fault.HashRecord(rec)
 	m.insert(h, rec, true)
 	if _, ok := m.lookup(h, rec); ok {
 		t.Fatal("record retained past the byte cap")

@@ -336,9 +336,13 @@ type simCkpt struct {
 	Results  []Result
 }
 
-// recordHash is FNV-1a over the record words — the cheap identity
-// check that guards checkpoint resume against a different stimulus.
-func recordHash(xs []int64) uint64 {
+// HashRecord is FNV-1a over the record words. It is the engines'
+// stimulus identity: checkpoint resume refuses a snapshot taken on a
+// different stimulus, and the service layer's content-addressed result
+// cache keys off it. The campaign memo table also buckets records by
+// it; collisions are fine there (lookup compares records in full), so
+// word granularity suffices.
+func HashRecord(xs []int64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range xs {
 		h ^= uint64(v)
@@ -423,7 +427,7 @@ func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, op
 	if ckName == "" {
 		ckName = "fault"
 	}
-	stimHash := recordHash(xs)
+	stimHash := HashRecord(xs)
 	var (
 		ledgerMu   sync.Mutex
 		done       []bool

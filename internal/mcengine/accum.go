@@ -1,9 +1,6 @@
 package mcengine
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // MeanVar is a streaming mean/variance accumulator (Welford) with an
 // exact pairwise merge (Chan, Golub & LeVeque), so lane partials can
@@ -59,111 +56,6 @@ func (a MeanVar) StdErr() float64 {
 		return 0
 	}
 	return a.Std() / math.Sqrt(float64(a.N))
-}
-
-// Histogram is a fixed-geometry quantile sketch: integer bin counts
-// over [Lo, Hi) plus exact min/max. Integer counts make the merge
-// order-independent and exact, so quantile queries are bit-identical
-// at any worker count. Resolution is bounded by the bin width; pick
-// the range from the problem's scale (e.g. ±6σ of the target).
-type Histogram struct {
-	// Lo, Hi bound the binned range; samples outside land in the
-	// Under/Over overflow counters.
-	Lo, Hi float64
-	// Counts are the per-bin tallies.
-	Counts []int64
-	// Under and Over count samples below Lo and at/above Hi.
-	Under, Over int64
-	// N is the total observation count.
-	N int64
-	// Min and Max track the exact extremes.
-	Min, Max float64
-}
-
-// NewHistogram builds a sketch with the given range and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if !(hi > lo) || bins <= 0 {
-		return nil, fmt.Errorf("mcengine: bad histogram geometry [%g,%g)/%d", lo, hi, bins)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins),
-		Min: math.Inf(1), Max: math.Inf(-1)}, nil
-}
-
-// Observe folds one sample into the sketch.
-func (h *Histogram) Observe(x float64) {
-	h.N++
-	if x < h.Min {
-		h.Min = x
-	}
-	if x > h.Max {
-		h.Max = x
-	}
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Counts) { // x just below Hi with rounding up
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// MergeHist folds another sketch of identical geometry into the
-// receiver.
-func (h *Histogram) MergeHist(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if o.Lo != h.Lo || o.Hi != h.Hi || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("mcengine: merging histograms of different geometry")
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.N += o.N
-	if o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-	return nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the covering bin; overflow mass resolves to the exact
-// min/max. NaN for an empty sketch.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return h.Min
-	}
-	if q >= 1 {
-		return h.Max
-	}
-	rank := q * float64(h.N)
-	cum := float64(h.Under)
-	if rank <= cum {
-		return h.Min
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if rank <= next && c > 0 {
-			frac := (rank - cum) / float64(c)
-			return h.Lo + w*(float64(i)+frac)
-		}
-		cum = next
-	}
-	return h.Max
 }
 
 // ZForConfidence returns the two-sided standard-normal quantile for a

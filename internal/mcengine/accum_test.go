@@ -70,80 +70,6 @@ func TestMeanVarMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h, err := NewHistogram(-5, 5, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200000; i++ {
-		h.Observe(rng.NormFloat64())
-	}
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0.5, 0, 0.02},
-		{0.841, 1, 0.03},
-		{0.977, 2, 0.05},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("q%.3f = %g, want %g±%g", tc.q, got, tc.want, tc.tol)
-		}
-	}
-	if h.Quantile(0) != h.Min || h.Quantile(1) != h.Max {
-		t.Error("extreme quantiles should be exact min/max")
-	}
-}
-
-func TestHistogramMergeExact(t *testing.T) {
-	mk := func() *Histogram {
-		h, err := NewHistogram(0, 1, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	whole, a, b := mk(), mk(), mk()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		x := rng.Float64()*1.4 - 0.2 // spill both overflow counters
-		whole.Observe(x)
-		if i%2 == 0 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-	}
-	if err := a.MergeHist(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N != whole.N || a.Under != whole.Under || a.Over != whole.Over ||
-		a.Min != whole.Min || a.Max != whole.Max {
-		t.Errorf("merged totals differ: %+v vs %+v", a, whole)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, a.Counts[i], whole.Counts[i])
-		}
-	}
-	bad := mk()
-	bad.Lo = 0.5
-	if err := a.MergeHist(bad); err == nil {
-		t.Error("geometry mismatch accepted")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(1, 1, 10); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	h, _ := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("empty sketch should return NaN")
-	}
-}
-
 func TestZForConfidence(t *testing.T) {
 	for _, tc := range []struct{ conf, want float64 }{
 		{0.6827, 1.0},

@@ -148,13 +148,14 @@ func (r *Registry) Histogram(name string, lo, hi float64, bins int) *Histogram {
 	if h != nil {
 		return h
 	}
-	if !(hi > lo) || bins <= 0 {
+	empty, err := NewHistSnapshot(lo, hi, bins)
+	if err != nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram(lo, hi, bins)
+		h = newHistogram(*empty)
 		r.hists[name] = h
 	}
 	return h

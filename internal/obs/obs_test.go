@@ -90,6 +90,22 @@ func TestHistogramGeometryFirstWins(t *testing.T) {
 	if r.Histogram("bad", 1, 1, 8) != nil || r.Histogram("bad2", 0, 1, 0) != nil {
 		t.Error("invalid geometry must yield the inert nil handle")
 	}
+	if _, err := NewHistSnapshot(1, 1, 10); err == nil {
+		t.Error("empty range accepted")
+	}
+	if _, err := NewHistSnapshot(0, 1, 0); err == nil {
+		t.Error("zero bins accepted")
+	}
+}
+
+// sketch returns an empty HistSnapshot of the given geometry.
+func sketch(t *testing.T, lo, hi float64, bins int) HistSnapshot {
+	t.Helper()
+	s, err := NewHistSnapshot(lo, hi, bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *s
 }
 
 // refHist is the serial single-writer reference the striped histogram
@@ -154,7 +170,9 @@ func agreesWithRef(s HistSnapshot, r *refHist) error {
 
 // TestHistogramMergeAssociativeCommutative is the satellite property
 // test: on random streams, merging per-part snapshots in any order or
-// grouping agrees with the serial reference over the whole stream.
+// grouping agrees with the serial reference over the whole stream, as
+// does one bare sketch observing the whole stream. Snapshots of a
+// different geometry refuse to merge.
 func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 	f := func(seed int64, parts uint8) bool {
 		k := 2 + int(parts%5)
@@ -163,11 +181,13 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 		ref := newRefHist(-2, 2, 32)
 		hists := make([]*Histogram, k)
 		for i := range hists {
-			hists[i] = newHistogram(-2, 2, 32)
+			hists[i] = newHistogram(sketch(t, -2, 2, 32))
 		}
+		whole := sketch(t, -2, 2, 32)
 		for i := 0; i < n; i++ {
 			x := rng.NormFloat64() * 1.5 // spills both overflow counters
 			ref.observe(x)
+			whole.Observe(x)
 			hists[rng.Intn(k)].Observe(x)
 		}
 		snaps := make([]HistSnapshot, k)
@@ -175,7 +195,7 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 			snaps[i] = h.Snapshot()
 		}
 		// Left fold in order: ((s0+s1)+s2)+...
-		left := newHistogram(-2, 2, 32).Snapshot()
+		left := sketch(t, -2, 2, 32)
 		for _, s := range snaps {
 			if err := left.Merge(s); err != nil {
 				t.Log(err)
@@ -183,7 +203,7 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 			}
 		}
 		// Reversed order (commutativity)...
-		rev := newHistogram(-2, 2, 32).Snapshot()
+		rev := sketch(t, -2, 2, 32)
 		for i := k - 1; i >= 0; i-- {
 			if err := rev.Merge(snaps[i]); err != nil {
 				t.Log(err)
@@ -192,10 +212,10 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 		}
 		// ...and a right-leaning grouping (associativity): s0 + (s1 +
 		// (s2 + ...)).
-		right := newHistogram(-2, 2, 32).Snapshot()
+		right := sketch(t, -2, 2, 32)
 		for i := k - 1; i >= 0; i-- {
 			tail := right
-			right = newHistogram(-2, 2, 32).Snapshot()
+			right = sketch(t, -2, 2, 32)
 			if err := right.Merge(snaps[i]); err != nil {
 				t.Log(err)
 				return false
@@ -205,7 +225,7 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 				return false
 			}
 		}
-		for _, merged := range []HistSnapshot{left, rev, right} {
+		for _, merged := range []HistSnapshot{left, rev, right, whole} {
 			if err := agreesWithRef(merged, ref); err != nil {
 				t.Log(err)
 				return false
@@ -216,6 +236,12 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	s := sketch(t, -2, 2, 32)
+	for _, bad := range []HistSnapshot{sketch(t, -1.5, 2, 32), sketch(t, -2, 3, 32), sketch(t, -2, 2, 16)} {
+		if err := s.Merge(bad); err == nil {
+			t.Errorf("merged [%g,%g)/%d into [-2,2)/32", bad.Lo, bad.Hi, len(bad.Counts))
+		}
+	}
 }
 
 // TestHistogramStripedConcurrentAgreesWithSerial pins that the
@@ -225,7 +251,7 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 func TestHistogramStripedConcurrentAgreesWithSerial(t *testing.T) {
 	const goroutines = 8
 	const perG = 5000
-	h := newHistogram(-1, 1, 64)
+	h := newHistogram(sketch(t, -1, 1, 64))
 	ref := newRefHist(-1, 1, 64)
 	streams := make([][]float64, goroutines)
 	rng := rand.New(rand.NewSource(7))
@@ -425,7 +451,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 }
 
 func TestHistSnapshotQuantile(t *testing.T) {
-	h := newHistogram(0, 10, 100)
+	h := newHistogram(sketch(t, 0, 10, 100))
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i%10) + 0.5)
 	}
@@ -433,7 +459,27 @@ func TestHistSnapshotQuantile(t *testing.T) {
 	if q := s.Quantile(0.5); math.Abs(q-5) > 0.6 {
 		t.Errorf("median %g, want ~5", q)
 	}
-	if !math.IsNaN((HistSnapshot{}).Quantile(0.5)) {
+	if !math.IsNaN((HistSnapshot{}).Quantile(0.5)) || !math.IsNaN(sketch(t, 0, 1, 4).Quantile(0.5)) {
 		t.Error("empty snapshot should return NaN")
+	}
+
+	// Standard-normal quantiles from a bare sketch at 0.01 resolution;
+	// the extreme quantiles are the exact extremes.
+	g := sketch(t, -5, 5, 1000)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200000; i++ {
+		g.Observe(rng.NormFloat64())
+	}
+	for _, tc := range []struct{ q, want, tol float64 }{
+		{0.5, 0, 0.02},
+		{0.841, 1, 0.03},
+		{0.977, 2, 0.05},
+	} {
+		if got := g.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
+			t.Errorf("q%.3f = %g, want %g±%g", tc.q, got, tc.want, tc.tol)
+		}
+	}
+	if g.Quantile(0) != g.Min || g.Quantile(1) != g.Max {
+		t.Error("extreme quantiles should be exact min/max")
 	}
 }

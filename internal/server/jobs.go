@@ -179,7 +179,7 @@ type task interface {
 
 // fnv1a folds s into h with the FNV-1a byte step — the same identity
 // hash the engines use for stimulus/checkpoint validation
-// (campaign.HashRecord), applied to the canonical spec string.
+// (fault.HashRecord), applied to the canonical spec string.
 func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -337,7 +337,7 @@ func (t *campaignTask) prepare(_ context.Context) (uint64, error) {
 	// fields that shape the run: two submissions compute the same
 	// campaign iff the gate-level records they would transform match.
 	h := fnv1a(fnvOffset, fmt.Sprintf("campaign|%d|%d|", t.spec.Patterns, t.spec.Seed))
-	h ^= campaign.HashRecord(t.dt.RealisticCodes)
+	h ^= fault.HashRecord(t.dt.RealisticCodes)
 	h *= 1099511628211
 	return h, nil
 }

@@ -213,10 +213,12 @@ type MCConfig struct {
 // refPartial is the engine accumulator: streaming moments of the
 // signed error plus a quantile sketch of |error|. Fields are exported
 // because the accumulator rides inside gob-encoded checkpoint
-// snapshots; the type itself stays package-private.
+// snapshots; the type itself stays package-private. Gob matches
+// fields by name, so renaming a field here or in the sketch types
+// orphans existing checkpoints.
 type refPartial struct {
 	MV   mcengine.MeanVar
-	Hist *mcengine.Histogram
+	Hist *obs.HistSnapshot
 }
 
 // EstimateReferralError runs the referral-error model of one
@@ -239,7 +241,7 @@ func EstimateReferralError(ctx context.Context, sp path.Spec, param params.Kind,
 		return ErrEstimate{}, fmt.Errorf("translate: zero analytic budget for %s/%s", param, method)
 	}
 	kernel := func(_, count int, rng *rand.Rand) (refPartial, error) {
-		h, err := mcengine.NewHistogram(0, histHi, 512)
+		h, err := obs.NewHistSnapshot(0, histHi, 512)
 		if err != nil {
 			return refPartial{}, err
 		}
@@ -258,7 +260,7 @@ func EstimateReferralError(ctx context.Context, sp path.Spec, param params.Kind,
 		total.MV.Merge(part.MV)
 		if total.Hist == nil {
 			total.Hist = part.Hist
-		} else if err := total.Hist.MergeHist(part.Hist); err != nil {
+		} else if err := total.Hist.Merge(*part.Hist); err != nil {
 			// Geometry is fixed above; a mismatch is a programming
 			// error, not a data condition.
 			panic(err)

@@ -135,13 +135,21 @@ func TestEstimateMatchesAnalyticBudget(t *testing.T) {
 }
 
 // TestEstimateDeterministicAcrossWorkers: the engine contract holds
-// for the referral study — bit-identical at any worker count.
+// for the referral study — bit-identical at any worker count, and
+// bit-identical to the P95 and σ pinned below, so a change to the
+// moment accumulator or the quantile sketch cannot shift the estimate
+// unnoticed.
 func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 	sp := buildPath(t).Spec
 	cfg := MCConfig{Samples: 30000, Seed: 5, BatchSize: 2048}
 	want, err := EstimateReferralError(context.Background(), sp, params.LPFCutoff, params.Adaptive, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const p95Bits, sigmaBits = 0x40e42a8c58563ddf, 0x40d496d4da3cc061
+	if math.Float64bits(want.P95) != p95Bits || math.Float64bits(want.Sigma) != sigmaBits {
+		t.Errorf("P95 %#x σ %#x, pinned %#x %#x", math.Float64bits(want.P95),
+			math.Float64bits(want.Sigma), uint64(p95Bits), uint64(sigmaBits))
 	}
 	for _, workers := range []int{1, 4, 16} {
 		c := cfg
