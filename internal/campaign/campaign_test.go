@@ -151,11 +151,16 @@ func TestZeroDiffScreenSkipsFFTsAndChangesNothing(t *testing.T) {
 	// untoggled, so faults confined to their cones never perturb the
 	// output: prime zero-diff screen territory.
 	u, det, xs := buildCampaign(t, 512, 4)
-	screened, err := New(u, det, Options{})
+	// Memoization off in both engines: with it on, which lanes are
+	// memoized and which pay a spectrum depends on detect-worker
+	// timing, and the unscreened run can land on the same Spectra
+	// count. Without it Spectra is deterministic, so the strict < below
+	// proves the screen itself saves spectra.
+	screened, err := New(u, det, Options{DisableMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unscreened, err := New(u, det, Options{DisableScreen: true})
+	unscreened, err := New(u, det, Options{DisableScreen: true, DisableMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}

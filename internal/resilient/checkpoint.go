@@ -73,15 +73,21 @@ func (c *Checkpointer) path(name string) string {
 // the run — silently losing checkpoints would turn a later resume
 // into data corruption.
 func (c *Checkpointer) Save(name string, version int, state any) error {
+	_, err := c.save(name, version, state)
+	return err
+}
+
+// save is Save reporting the size of the snapshot file it wrote.
+func (c *Checkpointer) save(name string, version int, state any) (int64, error) {
 	if !c.Enabled() {
-		return nil
+		return 0, nil
 	}
 	if err := Fire(fpCheckpointSave); err != nil {
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(state); err != nil {
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	env := envelope{
 		Magic:   snapshotMagic,
@@ -92,29 +98,29 @@ func (c *Checkpointer) Save(name string, version int, state any) error {
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	tmp, err := os.CreateTemp(c.Dir, name+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	if _, err := tmp.Write(buf.Bytes()); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
 	if err := os.Rename(tmp.Name(), c.path(name)); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return 0, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
 	}
-	return nil
+	return int64(buf.Len()), nil
 }
 
 // Load restores the snapshot saved under name into state, returning

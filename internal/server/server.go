@@ -252,7 +252,10 @@ type Server struct {
 	killed   bool
 
 	cache  *resultCache
-	ledger *resilient.Checkpointer
+	ledger *resilient.Journal
+	// ledgerHook, when set, runs under mu after every ledger write;
+	// tests use it to check the files against the live state.
+	ledgerHook func()
 
 	// breakers is one circuit breaker per job kind (fixed at New).
 	breakers map[string]*breaker
@@ -277,6 +280,8 @@ type Server struct {
 	mCacheHit  *obs.Counter
 	mCacheMiss *obs.Counter
 	mRejected  *obs.Counter
+	mLedgerB   *obs.Counter
+	mCompact   *obs.Counter
 	gQueued    *obs.Gauge
 	gRunning   *obs.Gauge
 }
@@ -286,6 +291,8 @@ const ledgerVersion = 1
 
 // ledgerRecord is one job's durable state; Result rides along for
 // terminal jobs so a restarted server can still serve them.
+// Identity too is persisted only with a terminal state: a live job
+// recomputes it when its resumed run starts.
 type ledgerRecord struct {
 	ID       string
 	Tenant   string
@@ -299,9 +306,19 @@ type ledgerRecord struct {
 	Result   *Result
 }
 
+// ledgerState is the ledger snapshot (mstxd_jobs.ckpt): every job in
+// submission order.
 type ledgerState struct {
 	NextID int64
 	Jobs   []ledgerRecord
+}
+
+// ledgerEntry is one record of the ledger log (mstxd_jobs.log),
+// appended on every transition: the job's whole new state, plus the
+// ID counter at that instant.
+type ledgerEntry struct {
+	NextID int64
+	Job    ledgerRecord
 }
 
 // New builds and starts a server. With Resume set it replays the
@@ -323,9 +340,6 @@ func New(cfg Config) (*Server, error) {
 		stop:        cancel,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if c.CheckpointDir != "" {
-		s.ledger = &resilient.Checkpointer{Dir: c.CheckpointDir, Resume: c.Resume}
-	}
 	bcfg := breakerConfig{
 		window:     c.BreakerWindow,
 		minSamples: c.BreakerMinSamples,
@@ -345,9 +359,11 @@ func New(cfg Config) (*Server, error) {
 	s.mCacheHit = s.reg.Counter("server_cache_hits_total")
 	s.mCacheMiss = s.reg.Counter("server_cache_misses_total")
 	s.mRejected = s.reg.Counter("server_queue_rejections_total")
+	s.mLedgerB = s.reg.Counter("server_ledger_bytes_total")
+	s.mCompact = s.reg.Counter("server_ledger_compactions_total")
 	s.gQueued = s.reg.Gauge("server_jobs_queued")
 	s.gRunning = s.reg.Gauge("server_jobs_running")
-	if err := s.resume(); err != nil {
+	if err := s.openLedger(); err != nil {
 		cancel()
 		return nil, err
 	}
@@ -358,20 +374,64 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// resume replays the ledger: terminal records become servable jobs,
-// live ones are validated and re-enqueued in submission order.
-func (s *Server) resume() error {
-	if s.ledger == nil || !s.cfg.Resume {
+// openLedger opens the durable job ledger in CheckpointDir. With
+// Resume it first restores the jobs that the snapshot plus the log
+// hold; either way it then writes a fresh snapshot and empties the
+// log, so a directory written by any earlier server starts clean.
+func (s *Server) openLedger() error {
+	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
+	s.ledger = resilient.NewJournal(s.cfg.CheckpointDir, ledgerName, ledgerVersion)
+	if s.cfg.Resume {
+		st, err := loadLedger(s.ledger)
+		if err != nil {
+			return fmt.Errorf("server: resume: %w", err)
+		}
+		s.restore(&st)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//mstxvet:ignore lockorder resume snapshot is saved under s.mu by design so no transition can interleave
+	if err := s.compactLocked(); err != nil {
+		return fmt.Errorf("server: ledger: %w", err)
+	}
+	return nil
+}
+
+// loadLedger replays the ledger: the snapshot, then every log record
+// over it. The last record per job ID wins, and a job's first
+// appearance fixes its place in submission order.
+func loadLedger(jn *resilient.Journal) (ledgerState, error) {
 	var st ledgerState
-	ok, err := s.ledger.Load(ledgerName, ledgerVersion, &st)
-	if err != nil {
-		return fmt.Errorf("server: resume: %w", err)
+	if _, err := jn.Load(&st); err != nil {
+		return st, err
 	}
-	if !ok {
+	pos := make(map[string]int, len(st.Jobs))
+	for i := range st.Jobs {
+		pos[st.Jobs[i].ID] = i
+	}
+	err := jn.Replay(func(decode func(any) error) error {
+		var e ledgerEntry
+		if err := decode(&e); err != nil {
+			return err
+		}
+		st.NextID = max(st.NextID, e.NextID)
+		if i, ok := pos[e.Job.ID]; ok {
+			st.Jobs[i] = e.Job
+		} else {
+			pos[e.Job.ID] = len(st.Jobs)
+			st.Jobs = append(st.Jobs, e.Job)
+		}
 		return nil
-	}
+	})
+	return st, err
+}
+
+// restore rebuilds the jobs of a replayed ledger: terminal records
+// become servable jobs, live ones are validated and re-enqueued in
+// submission order.
+func (s *Server) restore(st *ledgerState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID = st.NextID
@@ -422,9 +482,6 @@ func (s *Server) resume() error {
 		s.order = append(s.order, j.ID)
 	}
 	s.gQueued.Set(float64(s.q.queued))
-	//mstxvet:ignore lockorder resume snapshot is saved under s.mu by design so no transition can interleave
-	s.saveLedgerLocked()
-	return nil
 }
 
 // Submit validates spec, admits the job for tenant and wakes a worker.
@@ -465,7 +522,8 @@ func (s *Server) Submit(tenant string, spec Spec) (*Job, error) {
 	s.order = append(s.order, j.ID)
 	s.mSubmitted.Inc()
 	s.gQueued.Set(float64(s.q.queued))
-	s.saveLedgerLocked()
+	//mstxvet:ignore lockorder transitions append their own ledger record under s.mu by design so records land in transition order
+	s.persistLocked(j)
 	s.cond.Signal()
 	return j, nil
 }
@@ -499,7 +557,7 @@ func (s *Server) Cancel(id string) bool {
 			delete(s.retryTimers, j.ID)
 		}
 		s.gQueued.Set(float64(s.q.queued))
-		//mstxvet:ignore lockorder terminal transitions persist their own ledger snapshot under s.mu by design
+		//mstxvet:ignore lockorder terminal transitions persist their own ledger record under s.mu by design
 		s.finishLocked(j, StateCanceled, ErrTypeCanceled, "canceled before start")
 	case StateRunning:
 		j.cancelRequested = true
@@ -540,6 +598,11 @@ func (s *Server) shutdown() {
 	s.mu.Unlock()
 	s.stop()
 	s.wg.Wait()
+	// killed stops every later ledger write, so the log can be closed
+	// without the lock.
+	if s.ledger != nil {
+		s.ledger.Close()
+	}
 }
 
 // Registry returns the server's ops registry.
@@ -582,7 +645,7 @@ func (s *Server) worker() {
 		j.cancel = cancel
 		s.gQueued.Set(float64(s.q.queued))
 		s.gRunning.Add(1)
-		s.saveLedgerLocked()
+		s.persistLocked(j)
 		s.mu.Unlock()
 
 		start := time.Now()
@@ -618,10 +681,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		leader, cached, wait := s.cache.begin(id)
 		if cached != nil {
 			s.mCacheHit.Inc()
-			s.mu.Lock()
-			j.cacheHit = true
-			s.mu.Unlock()
-			s.finishResult(j, cached)
+			s.finishResult(j, cached, true)
 			return
 		}
 		if leader {
@@ -676,7 +736,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	} else {
 		s.cache.succeed(id, res)
 	}
-	s.finishResult(j, res)
+	s.finishResult(j, res, false)
 }
 
 // finishInterrupted classifies an interruption: client cancel, job
@@ -728,7 +788,7 @@ func (s *Server) failOrRetry(j *Job, errType, errMsg string) {
 			j.errType, j.errMsg = errType, errMsg // last error, visible while backing off
 			j.cancel = nil
 			s.mRetries.Inc()
-			s.saveLedgerLocked()
+			s.persistLocked(j)
 			id := j.ID
 			s.retryTimers[id] = time.AfterFunc(delay, func() { s.requeueRetry(id) })
 			return
@@ -764,13 +824,14 @@ func (s *Server) retryAfterSeconds() int {
 	return ceilSeconds(retryAfterHint(queued, avg, s.cfg.Workers, s.cfg.RetryAfter))
 }
 
-func (s *Server) finishResult(j *Job, res *Result) {
+func (s *Server) finishResult(j *Job, res *Result, cacheHit bool) {
 	state := StateDone
 	if res.Partial {
 		state = StatePartial
 	}
 	s.mu.Lock()
 	j.result = res
+	j.cacheHit = cacheHit
 	s.finishLocked(j, state, "", "")
 	s.mu.Unlock()
 }
@@ -805,40 +866,74 @@ func (s *Server) finishLocked(j *Job, state, errType, errMsg string) {
 			s.reg.Counter(name).Add(v)
 		}
 	}
-	s.saveLedgerLocked()
+	s.persistLocked(j)
 	close(j.done)
 }
 
-// saveLedgerLocked snapshots all jobs. Called with s.mu held on every
-// transition; a save failure is non-fatal for the live server (jobs
-// keep running) but loses resumability, so it is surfaced as a
-// server_ledger_errors_total bump rather than silently dropped.
-func (s *Server) saveLedgerLocked() {
+// persistLocked appends j's new state to the ledger log. Called with
+// s.mu held on every transition, so records land in transition order;
+// when the log has outgrown the snapshot it is compacted on the spot.
+// A write failure is non-fatal for the live server (jobs keep running)
+// but loses resumability until the next compaction succeeds, so it is
+// surfaced as a server_ledger_errors_total bump rather than silently
+// dropped.
+func (s *Server) persistLocked(j *Job) {
 	if s.ledger == nil || s.killed {
 		return
 	}
-	st := ledgerState{NextID: s.nextID}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		rec := ledgerRecord{
-			ID:       j.ID,
-			Tenant:   j.Tenant,
-			Spec:     j.Spec,
-			State:    j.state,
-			ErrType:  j.errType,
-			ErrMsg:   j.errMsg,
-			Attempts: j.attempts,
-		}
-		if j.hasIdent {
-			rec.Identity = fmt.Sprintf("%016x", j.identity)
-		}
-		rec.CacheHit = j.cacheHit
-		rec.Result = j.result
-		st.Jobs = append(st.Jobs, rec)
-	}
-	if err := s.ledger.Save(ledgerName, ledgerVersion, &st); err != nil {
+	n, err := s.ledger.Append(ledgerEntry{NextID: s.nextID, Job: recordLocked(j)})
+	if err != nil {
 		s.reg.Counter("server_ledger_errors_total").Inc()
 	}
+	s.mLedgerB.Add(int64(n))
+	if s.ledger.Due() {
+		if err := s.compactLocked(); err != nil {
+			s.reg.Counter("server_ledger_errors_total").Inc()
+		}
+	}
+	if s.ledgerHook != nil {
+		s.ledgerHook()
+	}
+}
+
+// compactLocked rewrites the ledger snapshot from the live jobs and
+// empties the log.
+func (s *Server) compactLocked() error {
+	st := s.ledgerStateLocked()
+	if err := s.ledger.Compact(&st); err != nil {
+		return err
+	}
+	s.mCompact.Inc()
+	return nil
+}
+
+// recordLocked is j's durable state.
+func recordLocked(j *Job) ledgerRecord {
+	rec := ledgerRecord{
+		ID:       j.ID,
+		Tenant:   j.Tenant,
+		Spec:     j.Spec,
+		State:    j.state,
+		ErrType:  j.errType,
+		ErrMsg:   j.errMsg,
+		CacheHit: j.cacheHit,
+		Attempts: j.attempts,
+		Result:   j.result,
+	}
+	if j.hasIdent && terminal(j.state) {
+		rec.Identity = fmt.Sprintf("%016x", j.identity)
+	}
+	return rec
+}
+
+// ledgerStateLocked is the full ledger snapshot: every job ever
+// submitted, in submission order.
+func (s *Server) ledgerStateLocked() ledgerState {
+	st := ledgerState{NextID: s.nextID, Jobs: make([]ledgerRecord, 0, len(s.order))}
+	for _, id := range s.order {
+		st.Jobs = append(st.Jobs, recordLocked(s.jobs[id]))
+	}
+	return st
 }
 
 // Snapshot is a point-in-time public view of a job.

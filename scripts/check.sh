@@ -224,9 +224,11 @@ go test -run '^$' -bench 'BenchmarkMstxvet' -benchmem -benchtime 3x \
 go run ./cmd/benchrecord -out BENCH_mstxvet.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 50 -max-allocs-regress 1 <"$tmp/bench_mstxvet.txt"
 
-echo "== fuzz smoke (netlist parser) =="
-# Ten seconds of coverage-guided fuzzing on top of the checked-in seed
-# corpus; any panic or round-trip violation fails the gate.
+echo "== fuzz smoke (netlist parser, ledger replay) =="
+# Ten seconds of coverage-guided fuzzing each on top of the seed
+# corpora; any panic, round-trip violation or untyped replay error
+# fails the gate.
 go test -fuzz=FuzzParseNetlist -fuzztime=10s ./internal/netlist
+go test -run '^$' -fuzz=FuzzLedgerReplay -fuzztime=10s ./internal/resilient
 
 echo "== check OK (chaos soak: $soak_status, seed $soak_seed) =="
