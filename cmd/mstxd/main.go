@@ -140,6 +140,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		srv.Close()
 		return 1
 	}
+	// Catch signals before the address is published: a SIGTERM sent as
+	// soon as a client knows the address must still shut down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	bound := ln.Addr().String()
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
@@ -157,9 +162,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(stderr, "mstxd: %v; shutting down\n", got)
