@@ -561,6 +561,66 @@ func BenchmarkSpectralCampaign(b *testing.B) {
 	b.ReportMetric(100*screened, "%screened")
 }
 
+// --- Campaign stages (ROADMAP item 2) ---
+//
+// The per-stage split of a campaign job: the stimulus build every job
+// pays (hit or miss), the engine's one fault-free baseline capture,
+// and one 63-lane cone-replay batch, of which a 1024-pattern campaign
+// runs ~20.
+
+// BenchmarkBuildDigitalTest measures core.BuildDigitalTest at 512
+// patterns: filter construction, stimulus and noisy capture, and the
+// two good-machine runs that set up and calibrate the detector.
+func BenchmarkBuildDigitalTest(b *testing.B) {
+	spec, err := experiments.BuildDefaultSpec()
+	if err != nil {
+		b.Fatal(err)
+	}
+	synth, err := core.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultDigitalTestOptions()
+	opts.Patterns = 512
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := synth.BuildDigitalTest(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCaptureBaseline measures the campaign's fault-free baseline
+// capture (good record plus one packed net snapshot per step) over the
+// default 1024-pattern realistic record.
+func BenchmarkCaptureBaseline(b *testing.B) {
+	dt := benchDigitalTest(b, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := digital.NewFIRSim(dt.FIR).CaptureBaseline(dt.RealisticCodes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecordsFromBaseline measures one 63-fault batch of cone
+// replay against that baseline: the record-generation stage of the
+// campaign pipeline.
+func BenchmarkRecordsFromBaseline(b *testing.B) {
+	dt := benchDigitalTest(b, 1024)
+	base, err := digital.NewFIRSim(dt.FIR).CaptureBaseline(dt.RealisticCodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := dt.Universe.Faults[:63]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fault.RecordsFromBaseline(dt.Universe, base, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSOC builds the default four-core SOC once for the scheduling
 // benchmark pair.
 func benchSOC(b *testing.B) *soc.SOC {

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,7 +214,8 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	nf := len(e.U.Faults)
 	results := make([]fault.Result, nf)
 	// Prefill the fault identity so partial (canceled) and quarantined
-	// entries still say which fault they cover.
+	// entries still say which fault they cover. The tap lookup scans
+	// every tap net, so later stages reuse the prefilled Tap.
 	for i, f := range e.U.Faults {
 		results[i] = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1}
 	}
@@ -388,7 +390,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	quarantineBatch := func(b, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f := e.U.Faults[i]
-			results[i] = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1, Quarantined: true}
+			results[i] = fault.Result{Fault: f, Tap: results[i].Tap, FirstDiff: -1, Quarantined: true}
 		}
 		commitBatch(b, lo, hi, 0, 0, 0, int64(hi-lo))
 	}
@@ -519,8 +521,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 						return err
 					}
 					for i, rec := range j.lanes {
-						f := e.U.Faults[j.lo+i]
-						res := fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net)}
+						res := fault.Result{Fault: e.U.Faults[j.lo+i], Tap: results[j.lo+i].Tap}
 						res.FirstDiff, res.MaxAbsDiff = fault.DiffStats(j.good, rec)
 						if !e.Opts.DisableScreen && res.MaxAbsDiff == 0 {
 							res.Detected = goodDetected
@@ -665,8 +666,15 @@ type memoTable struct {
 	bytes   int
 }
 
+// memoEntry keeps a copy of a retained record in the narrowest exact
+// form: int32 when every sample fits (filter outputs usually do, and
+// the table is what bounds a campaign's peak memory), int64 otherwise.
+// It is a copy because a batch's records share one backing array,
+// which a reference would keep alive whole. Exactly one of rec32 and
+// rec64 is set.
 type memoEntry struct {
-	rec      []int64
+	rec32    []int32
+	rec64    []int64
 	detected bool
 }
 
@@ -678,12 +686,31 @@ func newMemoTable() *memoTable {
 	return &memoTable{buckets: make(map[uint64][]memoEntry)}
 }
 
-func recordsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
+// newMemoEntry stores rec in the narrowest form that holds it exactly.
+func newMemoEntry(rec []int64, detected bool) memoEntry {
+	rec32 := make([]int32, len(rec))
+	for i, v := range rec {
+		if v != int64(int32(v)) {
+			return memoEntry{rec64: append([]int64(nil), rec...), detected: detected}
+		}
+		rec32[i] = int32(v)
+	}
+	return memoEntry{rec32: rec32, detected: detected}
+}
+
+// size is the entry's record storage in bytes.
+func (e *memoEntry) size() int { return 4*len(e.rec32) + 8*len(e.rec64) }
+
+// equal reports whether the entry holds exactly rec.
+func (e *memoEntry) equal(rec []int64) bool {
+	if e.rec64 != nil {
+		return slices.Equal(e.rec64, rec)
+	}
+	if len(e.rec32) != len(rec) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, v := range e.rec32 {
+		if int64(v) != rec[i] {
 			return false
 		}
 	}
@@ -694,7 +721,7 @@ func (m *memoTable) lookup(h uint64, rec []int64) (detected, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.buckets[h] {
-		if recordsEqual(e.rec, rec) {
+		if e.equal(rec) {
 			return e.detected, true
 		}
 	}
@@ -702,16 +729,17 @@ func (m *memoTable) lookup(h uint64, rec []int64) (detected, ok bool) {
 }
 
 func (m *memoTable) insert(h uint64, rec []int64, detected bool) {
+	e := newMemoEntry(rec, detected) // copied before taking the lock
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.bytes+8*len(rec) > maxMemoBytes {
+	if m.bytes+e.size() > maxMemoBytes {
 		return
 	}
-	for _, e := range m.buckets[h] {
-		if recordsEqual(e.rec, rec) {
+	for _, old := range m.buckets[h] {
+		if old.equal(rec) {
 			return
 		}
 	}
-	m.buckets[h] = append(m.buckets[h], memoEntry{rec: rec, detected: detected})
-	m.bytes += 8 * len(rec)
+	m.buckets[h] = append(m.buckets[h], e)
+	m.bytes += e.size()
 }

@@ -19,7 +19,9 @@ func memoVerdict(rec []int64) bool {
 // scripts/check.sh). The contract: a hit always returns the verdict
 // the record's detector would compute, duplicate inserts keep exactly
 // one entry, and racing workers can at worst lose a skip — never
-// corrupt a verdict.
+// corrupt a verdict. Half the records span the full int64 range and
+// must be kept as int64; the other half fit int32 (as filter outputs
+// do) and must be kept as an int32 copy.
 func TestMemoTableConcurrentConsistency(t *testing.T) {
 	const (
 		workers = 16
@@ -32,7 +34,11 @@ func TestMemoTableConcurrentConsistency(t *testing.T) {
 		rec := make([]int64, 32)
 		rec[0] = int64(i)
 		for j := 1; j < len(rec); j++ {
-			rec[j] = rng.Int63()
+			if i%2 == 0 {
+				rec[j] = rng.Int63()
+			} else {
+				rec[j] = int64(rng.Int31()) - 1<<30
+			}
 		}
 		recs[i] = rec
 	}
@@ -76,8 +82,12 @@ func TestMemoTableConcurrentConsistency(t *testing.T) {
 		}
 		n := 0
 		for _, e := range m.buckets[h] {
-			if recordsEqual(e.rec, rec) {
+			if e.equal(rec) {
 				n++
+				if wide := i%2 == 0; (e.rec64 != nil) != wide || (e.rec32 != nil) == wide {
+					t.Fatalf("record %d stored as int64=%v int32=%v, want int64=%v",
+						i, e.rec64 != nil, e.rec32 != nil, wide)
+				}
 			}
 		}
 		if n != 1 {
@@ -87,7 +97,7 @@ func TestMemoTableConcurrentConsistency(t *testing.T) {
 	wantBytes := 0
 	for _, b := range m.buckets {
 		for _, e := range b {
-			wantBytes += 8 * len(e.rec)
+			wantBytes += 8*len(e.rec64) + 4*len(e.rec32)
 		}
 	}
 	if m.bytes != wantBytes {

@@ -273,3 +273,21 @@ func DecodeSignedLane(words []uint64, lane int) int64 {
 	}
 	return int64(v)
 }
+
+// decodeLanes is DecodeSignedLane for all 64 lanes at once: on return
+// int64(m[l]) is DecodeSignedLane(words, l). One Transpose64 of the
+// bit words replaces the per-lane, per-bit loop.
+func decodeLanes(m *[64]uint64, words []uint64) {
+	n := copy(m[:], words)
+	clear(m[n:])
+	netlist.Transpose64(m)
+	width := len(words)
+	if width == 0 || width >= 64 {
+		return
+	}
+	sign := uint64(1) << uint(width-1)
+	for l, v := range m {
+		// Sign-extend from bit width-1.
+		m[l] = (v ^ sign) - sign
+	}
+}

@@ -152,6 +152,13 @@ func (f *FIR) Reference(xs []int64) []int64 {
 // delay line and supporting 64-lane fault-parallel evaluation: lane 0
 // is the fault-free machine, lanes 1..63 may each carry one injected
 // fault. Inputs are broadcast to all lanes.
+//
+// A simulator with no fault injected puts the lanes to a different
+// use: every lane then computes the same machine, and since the
+// netlist is combinational (the delay line lives here), lane l can
+// evaluate record step t0+l. Run, RunPeriodic and CaptureBaseline take
+// that time-parallel path, 64 steps per netlist pass, whenever no
+// fault is injected; their results are bit-identical to stepping.
 type FIRSim struct {
 	fir   *FIR
 	sim   *netlist.Simulator
@@ -237,6 +244,9 @@ func (s *FIRSim) StepValue(x int64) (int64, error) {
 // Run processes a whole record and returns the lane-0 output record.
 func (s *FIRSim) Run(xs []int64) ([]int64, error) {
 	out := make([]int64, len(xs))
+	if !s.sim.Faulted() {
+		return out, s.runTimeParallel(xs, out, nil)
+	}
 	for i, x := range xs {
 		y, err := s.StepValue(x)
 		if err != nil {
@@ -250,12 +260,12 @@ func (s *FIRSim) Run(xs []int64) ([]int64, error) {
 // Warm preloads the delay line by feeding the samples of xs without
 // collecting outputs. Feeding the last Taps−1 samples of a record
 // before running it yields the exact steady-state periodic response
-// for a coherent (record-periodic) stimulus.
+// for a coherent (record-periodic) stimulus. The netlist holds no
+// state, so warming only shifts the delay line and evaluates nothing.
 func (s *FIRSim) Warm(xs []int64) error {
 	for _, x := range xs {
-		if _, err := s.Step(x); err != nil {
-			return err
-		}
+		copy(s.delay[1:], s.delay[:len(s.delay)-1])
+		s.delay[0] = Saturate(x, s.fir.InWidth)
 	}
 	return nil
 }
@@ -329,10 +339,13 @@ func BaselineBytes(f *FIR, steps int) int {
 }
 
 // CaptureBaseline runs xs as one period of a periodic stimulus on the
-// fault-free machine (faults must not be injected on this simulator)
-// and records the per-step net-value snapshots and the good output
-// record.
+// fault-free machine and records the per-step net-value snapshots and
+// the good output record. A simulator with an injected fault is
+// refused: its snapshots would not be the fault-free baseline.
 func (s *FIRSim) CaptureBaseline(xs []int64) (*Baseline, error) {
+	if s.sim.Faulted() {
+		return nil, fmt.Errorf("digital: CaptureBaseline needs a fault-free simulator")
+	}
 	if err := s.warmTail(xs); err != nil {
 		return nil, err
 	}
@@ -342,17 +355,82 @@ func (s *FIRSim) CaptureBaseline(xs []int64) (*Baseline, error) {
 		Snaps: make([][]uint64, len(xs)),
 		Good:  make([]int64, len(xs)),
 	}
-	for i, x := range xs {
-		words, err := s.Step(x)
-		if err != nil {
-			return nil, err
-		}
-		snap := backing[i*bw : (i+1)*bw]
-		s.sim.SnapshotBits(snap)
-		base.Snaps[i] = snap
-		base.Good[i] = DecodeSignedLane(words, 0)
+	for i := range base.Snaps {
+		base.Snaps[i] = backing[i*bw : (i+1)*bw]
 	}
-	return base, nil
+	return base, s.runTimeParallel(xs, base.Good, base.Snaps)
+}
+
+// runTimeParallel is the fault-free machine run 64 record steps per
+// netlist pass: lane l of pass p evaluates step 64p+l of xs, continuing
+// from the current delay line exactly as a Step per sample would. It
+// writes the output record into good, each step's packed net snapshot
+// into snaps[t] when snaps is non-nil, and leaves the delay line where
+// stepping through xs would. Valid only while no fault is injected —
+// then every lane computes the same combinational function.
+func (s *FIRSim) runTimeParallel(xs, good []int64, snaps [][]uint64) error {
+	taps, w := s.fir.Taps(), s.fir.InWidth
+	// hist is the sample stream the taps read: the delay line oldest
+	// first, then the saturated record, so step t's tap i reads
+	// hist[taps+t-i].
+	hist := make([]int64, taps+len(xs))
+	for i, v := range s.delay {
+		hist[taps-1-i] = v
+	}
+	for t, x := range xs {
+		hist[taps+t] = Saturate(x, w)
+	}
+	// Bit planes: planes[b] is bit b of every hist sample, one bit per
+	// sample, plus a zero word so a 64-bit window may start anywhere.
+	nw := (len(hist)+63)/64 + 1
+	planes := make([][]uint64, w)
+	for b := range planes {
+		planes[b] = make([]uint64, nw)
+	}
+	var m [64]uint64
+	for c := 0; c*64 < len(hist); c++ {
+		for l := range m {
+			m[l] = 0
+			if p := c*64 + l; p < len(hist) {
+				m[l] = uint64(hist[p])
+			}
+		}
+		netlist.Transpose64(&m)
+		for b, plane := range planes {
+			plane[c] = m[b]
+		}
+	}
+	for t0 := 0; t0 < len(xs); t0 += 64 {
+		// Tap i's lane word for bit b is the 64-sample window of
+		// plane b starting at step t0's sample i steps back.
+		for tap := 0; tap < taps; tap++ {
+			pos := taps + t0 - tap
+			q, r := pos>>6, uint(pos&63)
+			for b, plane := range planes {
+				v := plane[q] >> r
+				if r != 0 {
+					v |= plane[q+1] << (64 - r)
+				}
+				s.inWords[tap*w+b] = v
+			}
+		}
+		words, err := s.sim.Run(s.inWords)
+		if err != nil {
+			return err
+		}
+		k := min(64, len(xs)-t0)
+		if snaps != nil {
+			s.sim.SnapshotLanes(snaps[t0 : t0+k])
+		}
+		decodeLanes(&m, words)
+		for l := 0; l < k; l++ {
+			good[t0+l] = int64(m[l])
+		}
+	}
+	for i := range s.delay {
+		s.delay[i] = hist[len(hist)-1-i]
+	}
+	return nil
 }
 
 // RunLanesCone is RunLanesPeriodic replayed differentially against a
@@ -372,36 +450,28 @@ func (s *FIRSim) RunLanesCone(base *Baseline, lanes int) ([][]int64, error) {
 	steps := len(base.Snaps)
 	out := make([][]int64, lanes)
 	out[0] = append([]int64(nil), base.Good...)
+	// One allocation backs every faulty lane's record.
+	backing := make([]int64, (lanes-1)*steps)
 	for l := 1; l < lanes; l++ {
-		out[l] = make([]int64, steps)
+		out[l] = backing[(l-1)*steps : l*steps : l*steps]
 	}
 	outNets := s.fir.Circuit.Outputs
-	width := len(outNets)
 	coneOuts := cone.OutputIndices()
-	coneWords := make([]uint64, len(coneOuts))
-	var coneMask uint64
-	for _, i := range coneOuts {
-		coneMask |= 1 << uint(i)
-	}
-	widthMask := ^uint64(0)
-	if width < 64 {
-		widthMask = 1<<uint(width) - 1
-	}
+	words := make([]uint64, len(outNets))
+	var m [64]uint64
 	for t := 0; t < steps; t++ {
 		s.sim.RunCone(cone, base.Snaps[t])
-		for k, i := range coneOuts {
-			coneWords[k] = s.sim.Value(outNets[i])
+		// Outputs outside the cone carry the good bit in every lane.
+		g := uint64(base.Good[t])
+		for i := range words {
+			words[i] = -(g >> uint(i) & 1)
 		}
-		v0 := uint64(base.Good[t]) & widthMask &^ coneMask
+		for _, i := range coneOuts {
+			words[i] = s.sim.Value(outNets[i])
+		}
+		decodeLanes(&m, words)
 		for l := 1; l < lanes; l++ {
-			v := v0
-			for k, i := range coneOuts {
-				v |= (coneWords[k] >> uint(l) & 1) << uint(i)
-			}
-			if width < 64 && v>>(uint(width)-1)&1 == 1 {
-				v |= ^uint64(0) << uint(width)
-			}
-			out[l][t] = int64(v)
+			out[l][t] = int64(m[l])
 		}
 	}
 	return out, nil
@@ -417,13 +487,15 @@ func (s *FIRSim) RunLanes(xs []int64, lanes int) ([][]int64, error) {
 	for l := range out {
 		out[l] = make([]int64, len(xs))
 	}
+	var m [64]uint64
 	for i, x := range xs {
 		words, err := s.Step(x)
 		if err != nil {
 			return nil, err
 		}
+		decodeLanes(&m, words)
 		for l := 0; l < lanes; l++ {
-			out[l][i] = DecodeSignedLane(words, l)
+			out[l][i] = int64(m[l])
 		}
 	}
 	return out, nil

@@ -405,7 +405,8 @@ func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, op
 	}
 	results := make([]Result, nf)
 	// Prefill the fault identity so partial (canceled) and quarantined
-	// entries still say WHICH fault they cover.
+	// entries still say WHICH fault they cover. The tap lookup scans
+	// every tap net, so the batches reuse the prefilled Tap.
 	for i, f := range u.Faults {
 		results[i] = Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net), FirstDiff: -1}
 	}
@@ -511,7 +512,7 @@ func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, op
 			// mark them; the campaign continues.
 			for i := lo; i < hi; i++ {
 				f := u.Faults[i]
-				results[i] = Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net), FirstDiff: -1, Quarantined: true}
+				results[i] = Result{Fault: f, Tap: results[i].Tap, FirstDiff: -1, Quarantined: true}
 			}
 			atomic.AddInt64(&quarantined, int64(hi-lo))
 		}
@@ -552,7 +553,8 @@ func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, op
 	return rep, nil
 }
 
-// simulateBatch simulates up to 63 faults in one pass and fills out.
+// simulateBatch simulates up to 63 faults in one pass and fills out,
+// whose entries arrive prefilled with each fault's Tap.
 func simulateBatch(u *Universe, xs []int64, det Detector, out []Result, faults []netlist.Fault) error {
 	sim := digital.NewFIRSim(u.FIR)
 	for i, f := range faults {
@@ -567,10 +569,7 @@ func simulateBatch(u *Universe, xs []int64, det Detector, out []Result, faults [
 	good := lanes[0]
 	for i, f := range faults {
 		faulty := lanes[i+1]
-		res := Result{
-			Fault: f,
-			Tap:   u.FIR.TapOfNet(f.Net),
-		}
+		res := Result{Fault: f, Tap: out[i].Tap}
 		res.FirstDiff, res.MaxAbsDiff = DiffStats(good, faulty)
 		res.Detected, err = det.Detect(good, faulty)
 		if err != nil {

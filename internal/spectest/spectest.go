@@ -39,8 +39,12 @@ type Detector struct {
 	// called a fault effect.
 	MarginDB float64
 
-	ref      *dsp.Spectrum
-	excluded map[int]bool
+	ref *dsp.Spectrum
+	// excluded[k] marks bin k as left out of the comparison; compared
+	// lists the remaining bins in ascending order, the loop every
+	// detection runs.
+	excluded []bool
+	compared []int
 	n        int
 }
 
@@ -89,14 +93,8 @@ func spectrumOf(rec []int64, fs float64) (*dsp.Spectrum, error) {
 }
 
 func (d *Detector) buildExclusions() {
-	d.excluded = make(map[int]bool)
-	mark := func(k int) {
-		for i := k - d.GuardBins; i <= k+d.GuardBins; i++ {
-			if i >= 0 && i < len(d.ref.Power) {
-				d.excluded[i] = true
-			}
-		}
-	}
+	d.excluded = make([]bool, len(d.ref.Power))
+	mark := d.excludeAround
 	mark(0)
 	for _, f := range d.ToneFreqs {
 		mark(d.ref.Bin(f))
@@ -120,6 +118,25 @@ func (d *Detector) buildExclusions() {
 			mark(d.ref.Bin(2*f1 + f2))
 		}
 	}
+	d.listCompared()
+}
+
+// excludeAround marks bin k and its guard bins as excluded.
+func (d *Detector) excludeAround(k int) {
+	for i := max(k-d.GuardBins, 0); i <= k+d.GuardBins && i < len(d.excluded); i++ {
+		d.excluded[i] = true
+	}
+}
+
+// listCompared rebuilds the ascending list of compared bins from the
+// exclusion marks.
+func (d *Detector) listCompared() {
+	d.compared = d.compared[:0]
+	for k, ex := range d.excluded {
+		if !ex {
+			d.compared = append(d.compared, k)
+		}
+	}
 }
 
 // ExcludeFrequency removes the bins around frequency f (with the
@@ -128,12 +145,8 @@ func (d *Detector) buildExclusions() {
 // through and LO leakage aliases — whose levels vary device to device.
 // Call before CalibrateFloor.
 func (d *Detector) ExcludeFrequency(f float64) {
-	k := d.ref.Bin(f)
-	for i := k - d.GuardBins; i <= k+d.GuardBins; i++ {
-		if i >= 0 && i < len(d.ref.Power) {
-			d.excluded[i] = true
-		}
-	}
+	d.excludeAround(d.ref.Bin(f))
+	d.listCompared()
 }
 
 // CalibrateFloor sets FloorPower from a realistic fault-free capture:
@@ -154,11 +167,8 @@ func (d *Detector) CalibrateFloor(noisyGood []int64, safety float64) error {
 			len(noisyGood), d.n)
 	}
 	d.normalize(s)
-	devs := make([]float64, 0, len(s.Power))
-	for k := range s.Power {
-		if d.excluded[k] {
-			continue
-		}
+	devs := make([]float64, 0, len(d.compared))
+	for _, k := range d.compared {
 		devs = append(devs, math.Abs(s.Power[k]-d.ref.Power[k]))
 	}
 	if len(devs) == 0 {
@@ -242,10 +252,7 @@ func (d *Detector) spectrumFor(rec []int64, sc *Scratch) (*dsp.Spectrum, error) 
 func (d *Detector) deviationOf(s *dsp.Spectrum) (float64, int) {
 	d.normalize(s)
 	worst, worstBin := 0.0, -1
-	for k := range s.Power {
-		if d.excluded[k] {
-			continue
-		}
+	for _, k := range d.compared {
 		dev := math.Abs(s.Power[k] - d.ref.Power[k])
 		if dev > worst {
 			worst, worstBin = dev, k
@@ -321,7 +328,7 @@ func (d *Detector) NewWorkerDetect() (func(good, faulty []int64) (bool, error), 
 // ComparedBins returns how many spectrum bins participate in the
 // comparison.
 func (d *Detector) ComparedBins() int {
-	return len(d.ref.Power) - len(d.excluded)
+	return len(d.compared)
 }
 
 // FloorDBFS returns the calibrated floor power in dB relative to the

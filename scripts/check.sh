@@ -177,6 +177,12 @@ echo "== bench smoke (obs off/on pairs) =="
 # noise — the nil-registry fast path is a hard contract (DESIGN.md §8).
 go test -run '^$' -bench 'BenchmarkCampaignObs|BenchmarkMCObs' -benchtime 3x .
 
+echo "== bench smoke (campaign stages) =="
+# The per-stage split of a campaign job: stimulus build, baseline
+# capture, one cone-replay batch.
+go test -run '^$' -bench 'BenchmarkBuildDigitalTest|BenchmarkCaptureBaseline|BenchmarkRecordsFromBaseline' \
+    -benchtime 3x .
+
 echo "== bench record + regression gate (dsp scratch pairs) =="
 # Run the allocating/scratch benchmark pairs and append the numbers to
 # the BENCH_*.json perf trajectories. -compare first gates the run
