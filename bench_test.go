@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mstx/internal/campaign"
 	"mstx/internal/core"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
@@ -211,8 +212,20 @@ func benchRecord(n int) []int64 {
 	return xs
 }
 
-// BenchmarkFaultSimParallel measures the 63-fault-per-pass parallel
-// engine (compare with BenchmarkFaultSimSerial).
+// exactCampaign runs the exact-compare campaign on the pooled engine.
+func exactCampaign(b *testing.B, u *fault.Universe, xs []int64) {
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := eng.Run(context.Background(), xs); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkFaultSimParallel measures the 63-fault-per-pass campaign
+// engine with the exact detector (compare with
+// BenchmarkFaultSimSerial).
 func BenchmarkFaultSimParallel(b *testing.B) {
 	fir := benchFIR(b)
 	u := fault.NewUniverse(fir, true)
@@ -222,9 +235,7 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 	xs := benchRecord(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{}); err != nil {
-			b.Fatal(err)
-		}
+		exactCampaign(b, u, xs)
 	}
 }
 
@@ -503,16 +514,14 @@ func BenchmarkDetectOnly(b *testing.B) {
 }
 
 // BenchmarkSimulateFull is the diagnostic-complete campaign baseline
-// for BenchmarkDetectOnly.
+// for BenchmarkDetectOnly: the exact campaign on the pooled engine.
 func BenchmarkSimulateFull(b *testing.B) {
 	fir := benchFIR(b)
 	u := fault.NewUniverse(fir, true)
 	xs := benchRecord(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{}); err != nil {
-			b.Fatal(err)
-		}
+		exactCampaign(b, u, xs)
 	}
 }
 
@@ -729,15 +738,17 @@ func BenchmarkMCObsOn(b *testing.B) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
-// BenchmarkSpectralCampaignSeed is the seed path of the same campaign:
-// fault.SimulateRecords with the detector invoked inline, paying a
-// window-table and FFT-buffer allocation per fault and transforming
-// every lane.
+// BenchmarkSpectralCampaignSeed is the same campaign with the engine's
+// campaign-level reuses switched off — the work of the seed path: a
+// full-netlist 63-lane pass per batch and a transform of every lane,
+// with no zero-diff screen and no memo. The per-worker FFT scratch
+// stays, so no lane allocates a window table.
 func BenchmarkSpectralCampaignSeed(b *testing.B) {
 	dt := benchDigitalTest(b, 1024)
+	opts := campaign.Options{DisableScreen: true, DisableDifferential: true, DisableMemo: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dt.RunSpectralSeed(); err != nil {
+		if _, _, err := dt.RunSpectralOpts(context.Background(), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -150,8 +150,13 @@ func simulate(ctx context.Context, cfg simConfig, w io.Writer) error {
 		}
 		xs[i] = int64(math.Round(v))
 	}
-	rep, err := fault.SimulateOpts(ctx, u, xs, fault.ExactDetector{},
-		fault.SimOptions{Checkpoint: cfg.ckpt, CheckpointName: "exact"})
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{
+		Checkpoint: cfg.ckpt, CheckpointName: "exact",
+	})
+	if err != nil {
+		return err
+	}
+	rep, _, err := eng.Run(ctx, xs)
 	if err != nil {
 		if resilient.Interrupted(err) && rep != nil {
 			fmt.Fprintf(w, "interrupted (%v); partial results:\n%s\n", err, rep)

@@ -13,6 +13,7 @@ import (
 	"log"
 	"math"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/fault"
@@ -48,7 +49,11 @@ func main() {
 		ph := 2 * math.Pi * float64(i) / float64(n)
 		xs[i] = int64(math.Round(230*math.Sin(65*ph) + 230*math.Sin(81*ph)))
 	}
-	rep, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
 	if err != nil {
 		log.Fatal(err)
 	}

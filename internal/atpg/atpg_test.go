@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/fault"
 	"mstx/internal/netlist"
@@ -238,7 +239,11 @@ func TestClassifyAndTopOffOnFIR(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64((i%13)*4 - 24)
 	}
-	rep, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}

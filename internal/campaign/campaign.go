@@ -1,27 +1,32 @@
-// Package campaign is the pooled spectral fault-campaign engine: it
-// pipelines 63-lane gate-level record generation into a bounded pool
-// of spectral-detection workers, each owning a reusable FFT scratch
-// (window table, complex work buffer, float conversion buffer) keyed
-// off the shared dsp plan cache, so the per-fault hot path allocates
-// nothing.
+// Package campaign is the pooled stuck-at fault-campaign engine. One
+// campaign runs every fault of a universe against one period of a
+// coherent stimulus; the detection predicate is a fault.Detector, so
+// the same engine runs the paper's ideal-input exact-compare campaign
+// (fault.ExactDetector) and its through-the-analog-path spectral
+// campaign (spectest.Detector). It pipelines 63-lane gate-level record
+// generation into a bounded pool of detection workers. A detector that
+// implements fault.WorkerDetector is bound once per worker, so the
+// spectral workers each own a reusable FFT scratch (window table,
+// complex work buffer, float conversion buffer) keyed off the shared
+// dsp plan cache and the per-fault hot path allocates nothing.
 //
 // The engine also applies a zero-diff screen: a faulty record that is
-// identical to the good record has an identical spectrum, so its
-// spectral verdict equals the good record's own — computed once — and
-// the per-fault FFT is skipped entirely. On high-coverage stimuli a
-// large fraction of the residual faults never toggle the output, so
-// the screen removes a matching fraction of the transform work while
-// leaving the campaign Report bit-identical to the serial reference
-// path (fault.SerialSimulate with the same detector).
+// identical to the good record gets the good record's own verdict,
+// Detect(good, good) — computed once — and the per-fault detection
+// (for the spectral detector, the FFT) is skipped entirely. On
+// high-coverage stimuli a large fraction of the residual faults never
+// toggle the output, so the screen removes a matching fraction of the
+// detection work while leaving the campaign Report bit-identical to
+// the serial reference path (fault.SerialSimulate with the same
+// detector).
 //
-// The per-record steady state is a zero-allocation contract, pinned by
-// testing.AllocsPerRun regression tests in dsp and spectest and by the
-// BENCH_dsp.json / BENCH_campaign.json perf trajectories recorded by
-// scripts/check.sh: once a worker's scratch is warm, the record →
-// window → FFT → power spectrum → screen path allocates nothing. The
-// same contract is available outside this engine — spectest.Detector
-// satisfies fault.WorkerDetector, so fault.Simulate and
-// fault.SerialSimulate bind one scratch per pool worker, and
+// The per-record spectral steady state is a zero-allocation contract,
+// pinned by testing.AllocsPerRun regression tests in dsp and spectest
+// and by the BENCH_dsp.json / BENCH_campaign.json perf trajectories
+// recorded by scripts/check.sh: once a worker's scratch is warm, the
+// record → window → FFT → power spectrum → screen path allocates
+// nothing. The same contract is available outside this engine —
+// fault.SerialSimulate binds the detector the same way, and
 // dsp.SpectrumScratch carries scratch-backed Welch, Analyze,
 // NoiseFloor and CoherentAverage variants for streaming callers.
 //
@@ -31,10 +36,11 @@
 // and each batch re-evaluates only the fanout cone of its 63 faults —
 // a small fraction of the circuit — instead of the whole netlist.
 // And detection is memoized: structurally inequivalent faults often
-// produce byte-identical output records, whose spectra and verdicts
-// are necessarily identical too, so each distinct record pays for at
-// most one transform. Both reuses are exact (no verdict can change)
-// and both can be disabled in Options for A/B measurement.
+// produce byte-identical output records, whose verdicts are
+// necessarily identical too (the good record is fixed for the run), so
+// each distinct record pays for at most one detection. Both reuses
+// are exact (no verdict can change) and both can be disabled in
+// Options for A/B measurement.
 package campaign
 
 import (
@@ -51,7 +57,6 @@ import (
 	"mstx/internal/fault"
 	"mstx/internal/obs"
 	"mstx/internal/resilient"
-	"mstx/internal/spectest"
 )
 
 // Failpoint sites for the deterministic fault-injection harness: one
@@ -71,15 +76,17 @@ type Options struct {
 	// SimWorkers bounds the concurrent 63-lane simulator passes.
 	// Defaults to GOMAXPROCS.
 	SimWorkers int
-	// DetectWorkers bounds the spectral-detection pool (one FFT
-	// scratch per worker). Defaults to GOMAXPROCS.
+	// DetectWorkers bounds the detection pool (one bound detector —
+	// for the spectral detector, one FFT scratch — per worker).
+	// Defaults to GOMAXPROCS.
 	DetectWorkers int
 	// Queue is the number of simulated batches allowed in flight
 	// between the two stages; it bounds the records held in memory.
 	// Defaults to DetectWorkers.
 	Queue int
 	// DisableScreen turns the zero-diff screen off (every lane pays
-	// its FFT); the screen is on by default and changes no verdict.
+	// its detection); the screen is on by default and changes no
+	// verdict.
 	DisableScreen bool
 	// DisableDifferential turns cone-differential record generation
 	// off (every batch re-evaluates the full netlist per step). The
@@ -88,7 +95,7 @@ type Options struct {
 	// record bit.
 	DisableDifferential bool
 	// DisableMemo turns record-verdict memoization off (byte-identical
-	// faulty records each pay their own transform); memoization is on
+	// faulty records each pay their own detection); memoization is on
 	// by default and changes no verdict.
 	DisableMemo bool
 	// Quarantine recovers a panicking batch (either stage), marks its
@@ -121,10 +128,11 @@ type Stats struct {
 	// Screened counts lanes resolved by the zero-diff screen.
 	Screened int
 	// Memoized counts lanes resolved by record-verdict memoization (a
-	// byte-identical record was already transformed).
+	// byte-identical record was already detected).
 	Memoized int
-	// Spectra counts spectral evaluations actually performed,
-	// including the one good-record evaluation backing the screen.
+	// Spectra counts detector evaluations actually performed — spectra
+	// computed, for the spectral detector — including the one
+	// good-record evaluation backing the screen.
 	Spectra int
 	// Differential reports whether record generation replayed fault
 	// cones against a shared baseline (false: full per-batch runs).
@@ -154,18 +162,20 @@ type campCkpt struct {
 	Quarantined int64
 }
 
-// Engine runs spectral stuck-at campaigns for one universe/detector
-// pair. It is cheap to construct; all heavy state is per-Run.
+// Engine runs stuck-at campaigns for one universe/detector pair. It is
+// cheap to construct; all heavy state is per-Run.
 type Engine struct {
-	U    *fault.Universe
-	Det  *spectest.Detector
+	U *fault.Universe
+	// Det is the detection predicate. It must be deterministic: the
+	// memo and the screen reuse one evaluation for equal records.
+	Det  fault.Detector
 	Opts Options
 }
 
-// New builds an engine. The detector must already be calibrated;
-// construction validates nothing about the stimulus, which is supplied
-// per Run.
-func New(u *fault.Universe, det *spectest.Detector, opts Options) (*Engine, error) {
+// New builds an engine. A spectral detector must already be
+// calibrated; construction validates nothing about the stimulus, which
+// is supplied per Run.
+func New(u *fault.Universe, det fault.Detector, opts Options) (*Engine, error) {
 	if u == nil {
 		return nil, fmt.Errorf("campaign: nil universe")
 	}
@@ -193,8 +203,8 @@ type job struct {
 	lanes [][]int64
 }
 
-// Run executes the spectral campaign over one period of the (coherent)
-// stimulus xs and returns the per-fault Report — identical to
+// Run executes the campaign over one period of the (coherent) stimulus
+// xs and returns the per-fault Report — identical to
 // fault.SerialSimulate(u, xs, det) — together with engine statistics.
 // Detector errors abort the run and surface as campaign errors; the
 // first error in batch order is returned.
@@ -251,10 +261,10 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		genCounter = reg.Counter("campaign_records_generated_total")
 	}
 
-	// The screen's shared verdict: a zero-diff lane's spectrum is the
-	// good record's spectrum, so its verdict is the good record's. The
-	// good record is the same for every batch (lane 0 of each pass),
-	// so compute it — and its verdict — once up front. This also
+	// The screen's shared verdict: a zero-diff lane's record is the
+	// good record, so its verdict is Detect(good, good). The good
+	// record is the same for every batch (lane 0 of each pass), so
+	// compute it — and its verdict — once up front. This also
 	// surfaces stimulus/detector length mismatches before any batch
 	// spins up. When the differential path is viable the same pass
 	// captures the per-step baseline snapshots every batch replays its
@@ -284,7 +294,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		}
 	}
 	stats.Differential = useDiff
-	goodDetected, err := e.Det.DetectRecord(good, nil)
+	goodDetected, err := e.Det.Detect(good, good)
 	baseSp.End()
 	if err != nil {
 		return nil, nil, err
@@ -490,10 +500,10 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		return nil
 	}, nil)
 
-	// Stage 2: detection pool. Each worker owns one scratch; lanes
-	// whose record matches the good record take the screened verdict
-	// without transforming, and byte-identical records share one
-	// memoized verdict.
+	// Stage 2: detection pool. Each worker binds its own detect
+	// function (a WorkerDetector's scratch-backed one); lanes whose
+	// record matches the good record take the screened verdict without
+	// detecting, and byte-identical records share one memoized verdict.
 	var memo *memoTable
 	if !e.Opts.DisableMemo {
 		memo = newMemoTable()
@@ -501,14 +511,14 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	var detWG sync.WaitGroup
 	for w := 0; w < e.Opts.DetectWorkers; w++ {
 		resilient.Go(&detWG, "campaign.detect_worker", func() error {
-			var sc *spectest.Scratch
+			var detect func(good, faulty []int64) (bool, error)
 			process := func(j job) {
 				if atomic.LoadInt32(&failed) != 0 || cctx.Err() != nil {
 					return
 				}
-				if sc == nil {
+				if detect == nil {
 					var err error
-					if sc, err = e.Det.NewScratch(); err != nil {
+					if detect, err = fault.BindDetector(e.Det); err != nil {
 						detErrs[j.batch] = err
 						atomic.StoreInt32(&failed, 1)
 						cancel()
@@ -543,7 +553,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 						if verdictHist != nil {
 							t0 = time.Now()
 						}
-						det, err := e.Det.DetectRecord(rec, sc)
+						det, err := detect(j.good, rec)
 						if verdictHist != nil {
 							verdictHist.Observe(time.Since(t0).Seconds())
 						}
@@ -640,8 +650,8 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		}
 		reg.Counter("campaign_memo_hits_total").Add(memoized)
 		if memo != nil {
-			// A miss is a lane that paid its own transform while the
-			// memo was on — exactly the spectra computed in the pool.
+			// A miss is a lane that paid its own detection while the
+			// memo was on — exactly the evaluations made in the pool.
 			reg.Counter("campaign_memo_misses_total").Add(spectra)
 		}
 		reg.Counter("campaign_spectra_total").Add(int64(stats.Spectra))
@@ -657,7 +667,8 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 // memoTable memoizes detection verdicts by record content. Hash
 // collisions are resolved by full record comparison, so a hit is an
 // exact byte-identical match and reusing its verdict cannot change any
-// result (the detector is a pure function of the record). Two workers
+// result (with the good record fixed for the run, the detector is a
+// pure function of the faulty record). Two workers
 // racing on the same record may both compute it — the table then keeps
 // one entry and the campaign merely loses one skip, never correctness.
 type memoTable struct {

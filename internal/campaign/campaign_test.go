@@ -2,9 +2,13 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mstx/internal/digital"
@@ -54,35 +58,78 @@ func buildCampaign(t testing.TB, n int, amp float64) (*fault.Universe, *spectest
 	return fault.NewUniverse(fir, true), det, ideal
 }
 
+// detectorCase is one detection predicate the engine properties are
+// checked under.
+type detectorCase struct {
+	name string
+	det  fault.Detector
+}
+
+// detectorCases pairs the calibrated spectral detector with the exact
+// compare at threshold 0 (any difference) and above it, so every
+// engine property holds for both of the paper's predicates.
+func detectorCases(det *spectest.Detector) []detectorCase {
+	return []detectorCase{
+		{"spectral", det},
+		{"exact", fault.ExactDetector{}},
+		{"exact-threshold3", fault.ExactDetector{Threshold: 3}},
+	}
+}
+
+// pairRecorder is an exact detector that keeps the good record and
+// every faulty record it is handed, in call order.
+type pairRecorder struct {
+	good   []int64
+	faulty [][]int64
+}
+
+func (r *pairRecorder) Detect(good, faulty []int64) (bool, error) {
+	r.good = good
+	r.faulty = append(r.faulty, faulty)
+	return fault.ExactDetector{}.Detect(good, faulty)
+}
+
 func TestEngineMatchesSerialSimulate(t *testing.T) {
 	u, det, xs := buildCampaign(t, 512, 45)
 	// SerialSimulate pays one full gate-level pass per fault, so cap
-	// the universe at a few batches to keep the oracle affordable;
-	// TestEngineMatchesBatchSimulate covers the full universe.
+	// the universe at a few batches to keep the oracle affordable, and
+	// run it once: each case's reference is the serial report with that
+	// case's verdicts on the serial records.
+	// TestEngineReusePathsChangeNothing covers the full universe against
+	// the engine's plain full-netlist path.
 	u.Faults = u.Faults[:200]
-	eng, err := New(u, det, Options{})
+	rec := &pairRecorder{}
+	ser, err := fault.SerialSimulate(u, xs, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, stats, err := eng.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := fault.SerialSimulate(u, xs, det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, ser) {
-		t.Fatalf("pooled report differs from SerialSimulate:\npooled %v\nserial %v", rep, ser)
-	}
-	if stats.Faults != u.Size() {
-		t.Errorf("stats.Faults = %d, want %d", stats.Faults, u.Size())
-	}
-	// Every lane is either screened, memoized, or transformed, plus the
-	// one good-record spectrum backing the screen.
-	if stats.Screened+stats.Memoized+stats.Spectra != stats.Faults+1 {
-		t.Errorf("screened %d + memoized %d + spectra %d != faults %d + 1",
-			stats.Screened, stats.Memoized, stats.Spectra, stats.Faults)
+	for _, dc := range detectorCases(det) {
+		want := &fault.Report{Patterns: ser.Patterns, Results: slices.Clone(ser.Results)}
+		for i, f := range rec.faulty {
+			if want.Results[i].Detected, err = dc.det.Detect(rec.good, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng, err := New(u, dc.det, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, stats, err := eng.Run(context.Background(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("%s: pooled report differs from SerialSimulate:\npooled %v\nserial %v", dc.name, rep, want)
+		}
+		if stats.Faults != u.Size() {
+			t.Errorf("%s: stats.Faults = %d, want %d", dc.name, stats.Faults, u.Size())
+		}
+		// Every lane is either screened, memoized, or detected, plus the
+		// one good-record evaluation backing the screen.
+		if stats.Screened+stats.Memoized+stats.Spectra != stats.Faults+1 {
+			t.Errorf("%s: screened %d + memoized %d + spectra %d != faults %d + 1",
+				dc.name, stats.Screened, stats.Memoized, stats.Spectra, stats.Faults)
+		}
 	}
 }
 
@@ -90,59 +137,40 @@ func TestEngineReusePathsChangeNothing(t *testing.T) {
 	// The three campaign-level reuses — differential cone replay,
 	// zero-diff screening, and record-verdict memoization — must be
 	// invisible in the report: run the engine with everything disabled
-	// (full per-batch simulation, one FFT per lane) and with everything
-	// on, and require byte-identical reports.
+	// (full per-batch simulation, one detection per lane) and with
+	// everything on, and require byte-identical reports.
 	u, det, xs := buildCampaign(t, 512, 45)
-	plain, err := New(u, det, Options{
-		DisableScreen: true, DisableDifferential: true, DisableMemo: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := New(u, det, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repP, statsP, err := plain.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repT, statsT, err := tuned.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsP.Differential {
-		t.Error("DisableDifferential ignored")
-	}
-	if statsP.Memoized != 0 {
-		t.Errorf("disabled memo still memoized %d lanes", statsP.Memoized)
-	}
-	if !statsT.Differential {
-		t.Error("differential path not taken on a compiled circuit")
-	}
-	if !reflect.DeepEqual(repP, repT) {
-		t.Fatal("campaign reuses changed the report")
-	}
-}
-
-func TestEngineMatchesBatchSimulate(t *testing.T) {
-	// Full-universe equivalence against the 63-lane batch path (which
-	// fault's own tests prove equal to SerialSimulate).
-	u, det, xs := buildCampaign(t, 512, 45)
-	eng, err := New(u, det, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := eng.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := fault.SimulateRecords(context.Background(), u, xs, det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, batch) {
-		t.Fatal("pooled report differs from the batch simulation path")
+	for _, dc := range detectorCases(det) {
+		plain, err := New(u, dc.det, Options{
+			DisableScreen: true, DisableDifferential: true, DisableMemo: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuned, err := New(u, dc.det, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repP, statsP, err := plain.Run(context.Background(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repT, statsT, err := tuned.Run(context.Background(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if statsP.Differential {
+			t.Errorf("%s: DisableDifferential ignored", dc.name)
+		}
+		if statsP.Memoized != 0 {
+			t.Errorf("%s: disabled memo still memoized %d lanes", dc.name, statsP.Memoized)
+		}
+		if !statsT.Differential {
+			t.Errorf("%s: differential path not taken on a compiled circuit", dc.name)
+		}
+		if !reflect.DeepEqual(repP, repT) {
+			t.Fatalf("%s: campaign reuses changed the report", dc.name)
+		}
 	}
 }
 
@@ -151,45 +179,51 @@ func TestZeroDiffScreenSkipsFFTsAndChangesNothing(t *testing.T) {
 	// untoggled, so faults confined to their cones never perturb the
 	// output: prime zero-diff screen territory.
 	u, det, xs := buildCampaign(t, 512, 4)
-	// Memoization off in both engines: with it on, which lanes are
-	// memoized and which pay a spectrum depends on detect-worker
-	// timing, and the unscreened run can land on the same Spectra
-	// count. Without it Spectra is deterministic, so the strict < below
-	// proves the screen itself saves spectra.
-	screened, err := New(u, det, Options{DisableMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unscreened, err := New(u, det, Options{DisableScreen: true, DisableMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repS, statsS, err := screened.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repU, statsU, err := unscreened.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsS.Screened == 0 {
-		t.Fatal("low-amplitude stimulus produced no zero-diff lanes; screen untested")
-	}
-	if statsU.Screened != 0 {
-		t.Errorf("disabled screen still screened %d lanes", statsU.Screened)
-	}
-	if statsS.Spectra >= statsU.Spectra {
-		t.Errorf("screen saved no spectra: %d vs %d", statsS.Spectra, statsU.Spectra)
-	}
-	if !reflect.DeepEqual(repS, repU) {
-		t.Fatal("zero-diff screen changed the report")
-	}
-	batch, err := fault.SimulateRecords(context.Background(), u, xs, det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repS, batch) {
-		t.Fatal("screened report differs from the batch simulation path")
+	for _, dc := range detectorCases(det) {
+		// Memoization off in both engines: with it on, which lanes are
+		// memoized and which pay a detection depends on detect-worker
+		// timing, and the unscreened run can land on the same Spectra
+		// count. Without it Spectra is deterministic, so the strict <
+		// below proves the screen itself saves detections.
+		screened, err := New(u, dc.det, Options{DisableMemo: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unscreened, err := New(u, dc.det, Options{DisableScreen: true, DisableMemo: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repS, statsS, err := screened.Run(context.Background(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repU, statsU, err := unscreened.Run(context.Background(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if statsS.Screened == 0 {
+			t.Fatalf("%s: low-amplitude stimulus produced no zero-diff lanes; screen untested", dc.name)
+		}
+		if statsU.Screened != 0 {
+			t.Errorf("%s: disabled screen still screened %d lanes", dc.name, statsU.Screened)
+		}
+		if statsS.Spectra >= statsU.Spectra {
+			t.Errorf("%s: screen saved no detections: %d vs %d", dc.name, statsS.Spectra, statsU.Spectra)
+		}
+		if !reflect.DeepEqual(repS, repU) {
+			t.Fatalf("%s: zero-diff screen changed the report", dc.name)
+		}
+		// The plain full-netlist path (a 63-lane pass per batch, every
+		// lane detected) is the full-universe reference.
+		repP, err := mustRun(t, u, dc.det, Options{
+			DisableScreen: true, DisableDifferential: true, DisableMemo: true,
+		}, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(repS, repP) {
+			t.Fatalf("%s: screened report differs from the plain full-netlist path", dc.name)
+		}
 	}
 }
 
@@ -206,6 +240,89 @@ func TestEngineSurfacesDetectorErrors(t *testing.T) {
 	}
 	if _, _, err := eng.Run(context.Background(), nil); err == nil {
 		t.Error("empty stimulus accepted")
+	}
+	// Any detector's error aborts the run, whether it comes from the
+	// good-record verdict or a faulty lane.
+	for _, failOn := range []string{"good", "faulty"} {
+		eng, err := New(u, errDetector{failOn: failOn}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.Run(context.Background(), xs); err == nil || !strings.Contains(err.Error(), "detector exploded") {
+			t.Errorf("%s-record detector error swallowed: %v", failOn, err)
+		}
+	}
+}
+
+// errDetector fails on the good-record verdict (failOn "good") or on
+// every faulty record (failOn "faulty").
+type errDetector struct{ failOn string }
+
+func (d errDetector) Detect(good, faulty []int64) (bool, error) {
+	if (d.failOn == "good") == slices.Equal(good, faulty) {
+		return false, errors.New("detector exploded")
+	}
+	return false, nil
+}
+
+// countingWorkerDetector wraps ExactDetector with WorkerDetector
+// bookkeeping so tests can prove the detect workers go through their
+// bound functions rather than the shared Detect.
+type countingWorkerDetector struct {
+	newErr      error
+	newCalls    atomic.Int64
+	boundCalls  atomic.Int64
+	directCalls atomic.Int64
+}
+
+func (d *countingWorkerDetector) Detect(good, faulty []int64) (bool, error) {
+	d.directCalls.Add(1)
+	return fault.ExactDetector{}.Detect(good, faulty)
+}
+
+func (d *countingWorkerDetector) NewWorkerDetect() (func(good, faulty []int64) (bool, error), error) {
+	if d.newErr != nil {
+		return nil, d.newErr
+	}
+	d.newCalls.Add(1)
+	return func(good, faulty []int64) (bool, error) {
+		d.boundCalls.Add(1)
+		return fault.ExactDetector{}.Detect(good, faulty)
+	}, nil
+}
+
+func TestEngineUsesWorkerDetectors(t *testing.T) {
+	u, _, xs := buildCampaign(t, 256, 45)
+	want, err := mustRun(t, u, fault.ExactDetector{}, Options{}, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := &countingWorkerDetector{}
+	rep, err := mustRun(t, u, cd, Options{DetectWorkers: 2}, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatal("worker-bound verdicts differ from plain ExactDetector")
+	}
+	// At most one bound function per detect worker; only the shared
+	// good-record verdict goes through Detect itself.
+	if n := cd.newCalls.Load(); n < 1 || n > 2 {
+		t.Errorf("NewWorkerDetect called %d times, want 1..2", n)
+	}
+	if cd.boundCalls.Load() == 0 {
+		t.Error("no detection went through a bound worker function")
+	}
+	if n := cd.directCalls.Load(); n != 1 {
+		t.Errorf("Detect called %d times, want 1 (the good-record verdict)", n)
+	}
+
+	bad := &countingWorkerDetector{newErr: errors.New("scratch build failed")}
+	if _, err := mustRun(t, u, bad, Options{}, xs); err == nil || !strings.Contains(err.Error(), "scratch build failed") {
+		t.Errorf("worker setup error swallowed: %v", err)
+	}
+	if bad.boundCalls.Load() != 0 {
+		t.Error("detection ran despite the setup failure")
 	}
 }
 

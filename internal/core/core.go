@@ -329,22 +329,23 @@ func (s *Synthesizer) BuildDigitalTest(opts DigitalTestOptions) (*DigitalTest, e
 }
 
 // RunExact runs the campaign with the ideal-input, exact-compare
-// detector (the known-input digital test baseline).
+// detector (the known-input digital test baseline) on the pooled
+// campaign engine.
 func (dt *DigitalTest) RunExact() (*fault.Report, error) {
-	return dt.RunExactCtx(context.Background())
+	return dt.RunExactOpts(context.Background(), campaign.Options{})
 }
 
-// RunExactCtx is RunExact bounded by ctx: cancellation/deadline is
-// honored at batch granularity and surfaces as a typed
-// resilient.ErrCanceled/ErrDeadline with a partial report.
-func (dt *DigitalTest) RunExactCtx(ctx context.Context) (*fault.Report, error) {
-	return fault.Simulate(ctx, dt.Universe, dt.IdealCodes, fault.ExactDetector{})
-}
-
-// RunExactOpts is RunExact with the resilience knobs (checkpoint/
-// resume, quarantine) exposed.
-func (dt *DigitalTest) RunExactOpts(ctx context.Context, opts fault.SimOptions) (*fault.Report, error) {
-	return fault.SimulateOpts(ctx, dt.Universe, dt.IdealCodes, fault.ExactDetector{}, opts)
+// RunExactOpts is RunExact with the engine's pipeline and resilience
+// options (worker counts, checkpoint/resume, quarantine) under ctx.
+// Cancellation is honored at batch granularity and surfaces as a
+// typed resilient.ErrCanceled/ErrDeadline with a partial report.
+func (dt *DigitalTest) RunExactOpts(ctx context.Context, opts campaign.Options) (*fault.Report, error) {
+	eng, err := campaign.New(dt.Universe, fault.ExactDetector{}, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep, _, err := eng.Run(ctx, dt.IdealCodes)
+	return rep, err
 }
 
 // RunSpectral runs the campaign with the calibrated spectral detector
@@ -373,15 +374,6 @@ func (dt *DigitalTest) RunSpectralOpts(ctx context.Context, opts campaign.Option
 		return nil, nil, err
 	}
 	return eng.Run(ctx, dt.RealisticCodes)
-}
-
-// RunSpectralSeed runs the same spectral campaign through the unpooled
-// seed path — fault.SimulateRecords with the detector invoked inline
-// in each simulation batch, allocating a fresh window table and FFT
-// buffer per fault. It exists as the baseline for the campaign-engine
-// benchmark pair and for equivalence testing.
-func (dt *DigitalTest) RunSpectralSeed() (*fault.Report, error) {
-	return fault.SimulateRecords(context.Background(), dt.Universe, dt.RealisticCodes, dt.Detector)
 }
 
 func dspAlias(f, fs float64) float64 {

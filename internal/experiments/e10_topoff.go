@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"mstx/internal/atpg"
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/fault"
@@ -72,7 +73,11 @@ func TopOff(opts TopOffOptions) (*TopOffResult, error) {
 		ph := 2 * math.Pi * float64(i) / float64(n)
 		xs[i] = int64(math.Round(230*math.Sin(float64(n/16+1)*ph) + 230*math.Sin(float64(n/16+17)*ph)))
 	}
-	rep, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/fault"
@@ -157,7 +158,11 @@ func mostActiveFault(fir *digital.FIR, u *fault.Universe, tap int, xs []int64) (
 		return netlist.Fault{}, false, nil
 	}
 	sub := &fault.Universe{FIR: fir, Faults: cands}
-	rep, err := fault.Simulate(context.Background(), sub, xs, fault.ExactDetector{})
+	eng, err := campaign.New(sub, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		return netlist.Fault{}, false, err
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
 	if err != nil {
 		return netlist.Fault{}, false, err
 	}

@@ -114,7 +114,7 @@ func PathFaultSim(opts PathFaultOptions) (*PathFaultResult, error) {
 	res.UniverseSize = dtLong.Universe.Size()
 	_, exactSp := obs.Span(e8Ctx, "e8.exact")
 	exact, err := dtLong.RunExactOpts(ctx,
-		fault.SimOptions{Checkpoint: opts.Checkpoint, CheckpointName: "e8_exact"})
+		campaign.Options{Checkpoint: opts.Checkpoint, CheckpointName: "e8_exact"})
 	exactSp.End()
 	if err != nil {
 		return nil, err

@@ -1,13 +1,15 @@
-// Package fault provides the stuck-at fault-simulation engine for
-// gate-level FIR filters: fault-universe management, 63-fault-per-pass
-// parallel simulation over sample records, exact (output-compare)
-// detection with fault dropping, full per-fault output-record capture
-// for spectral testing, and coverage accounting.
+// Package fault provides the stuck-at fault-simulation building
+// blocks for gate-level FIR filters: fault-universe management,
+// 63-fault-per-pass record capture (full-netlist or cone-differential
+// against a fault-free baseline), the detection predicates (exact
+// output compare here, spectral in package spectest), the serial
+// reference campaign, the early-abort detect-only campaign, and
+// coverage accounting. Full campaigns — exact or spectral — run on the
+// pooled engine in package campaign.
 package fault
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -15,13 +17,8 @@ import (
 
 	"mstx/internal/digital"
 	"mstx/internal/netlist"
-	"mstx/internal/obs"
 	"mstx/internal/resilient"
 )
-
-// fpBatch is the failpoint evaluated before every simulation batch;
-// the chaos suite arms it to inject batch errors, panics and delays.
-var fpBatch = resilient.Site("fault.batch")
 
 // Universe holds a fault list for a FIR circuit together with the
 // bookkeeping needed for reports.
@@ -153,34 +150,23 @@ type Detector interface {
 // per-goroutine scratch state (spectest.Detector is the one in-tree):
 // NewWorkerDetect returns a Detect-shaped function bound to a fresh
 // scratch for exclusive use by one worker goroutine, with verdicts
-// bit-identical to Detect's. Simulate and SerialSimulate detect
-// through it when available, so the per-record spectral path allocates
-// nothing in steady state instead of rebuilding window tables and FFT
-// buffers per fault.
+// bit-identical to Detect's. The campaign engine's detect workers and
+// SerialSimulate detect through it when available (see BindDetector),
+// so the per-record spectral path allocates nothing in steady state
+// instead of rebuilding window tables and FFT buffers per fault.
 type WorkerDetector interface {
 	Detector
 	NewWorkerDetect() (func(good, faulty []int64) (bool, error), error)
 }
 
-// detectFunc adapts a bound worker-detect function back into the
-// Detector interface the batch code consumes.
-type detectFunc func(good, faulty []int64) (bool, error)
-
-// Detect implements Detector.
-func (f detectFunc) Detect(good, faulty []int64) (bool, error) { return f(good, faulty) }
-
-// workerDetector returns a detector for one worker goroutine: a
-// scratch-bound instance when det supports it, det itself otherwise.
-func workerDetector(det Detector) (Detector, error) {
-	wd, ok := det.(WorkerDetector)
-	if !ok {
-		return det, nil
+// BindDetector returns the detect function one worker goroutine should
+// use: the scratch-bound NewWorkerDetect function when det is a
+// WorkerDetector, det.Detect otherwise.
+func BindDetector(det Detector) (func(good, faulty []int64) (bool, error), error) {
+	if wd, ok := det.(WorkerDetector); ok {
+		return wd.NewWorkerDetect()
 	}
-	fn, err := wd.NewWorkerDetect()
-	if err != nil {
-		return nil, err
-	}
-	return detectFunc(fn), nil
+	return det.Detect, nil
 }
 
 // ExactDetector declares a fault detected when any output sample
@@ -208,9 +194,9 @@ func (d ExactDetector) Detect(good, faulty []int64) (bool, error) {
 
 // DiffStats returns the sample index of the first difference between
 // the good and faulty records (-1 when identical) and the largest
-// absolute difference. It is the shared diff accounting of the batch,
-// serial, and campaign engines — the campaign zero-diff screen keys
-// off maxAbs == 0.
+// absolute difference. It is the shared diff accounting of the serial
+// reference and the campaign engine — the campaign zero-diff screen
+// keys off maxAbs == 0.
 func DiffStats(good, faulty []int64) (firstDiff int, maxAbs int64) {
 	firstDiff = -1
 	for n := range good {
@@ -228,11 +214,9 @@ func DiffStats(good, faulty []int64) (firstDiff int, maxAbs int64) {
 	return firstDiff, maxAbs
 }
 
-// runBatches runs fn(worker, batch) for every batch in [0, nBatches)
-// on a bounded pool of at most `workers` goroutines and returns the
-// first error in batch order. The worker index (0 ≤ worker < workers)
-// identifies the claiming goroutine so callers can hand each worker
-// exclusive scratch state. Unlike the seed implementation — which spawned
+// runBatches runs fn(batch) for every batch in [0, nBatches) on a
+// bounded pool of at most `workers` goroutines and returns the first
+// error in batch order. Unlike the seed implementation — which spawned
 // every batch goroutine up front and only then gated them on a
 // semaphore, and whose error channel surfaced whichever failing batch
 // lost the race — the pool never holds more than `workers` goroutines
@@ -246,7 +230,7 @@ func DiffStats(good, faulty []int64) (firstDiff int, maxAbs int64) {
 // resilient.ErrCanceled/ErrDeadline is returned (batch errors win).
 // Worker goroutines run under resilient.Go, so a panic escaping fn's
 // own guards degrades to a returned error, never a process crash.
-func runBatches(ctx context.Context, nBatches, workers int, fn func(worker, batch int) error) error {
+func runBatches(ctx context.Context, nBatches, workers int, fn func(batch int) error) error {
 	if nBatches <= 0 {
 		return nil
 	}
@@ -269,7 +253,6 @@ func runBatches(ctx context.Context, nBatches, workers int, fn func(worker, batc
 		atomic.StoreInt32(&failed, 1)
 	}
 	for w := 0; w < workers; w++ {
-		worker := w
 		resilient.Go(&wg, "fault.worker", func() error {
 			for {
 				b := int(atomic.AddInt64(&next, 1))
@@ -282,7 +265,7 @@ func runBatches(ctx context.Context, nBatches, workers int, fn func(worker, batc
 				if ctx.Err() != nil {
 					return nil
 				}
-				if err := fn(worker, b); err != nil {
+				if err := fn(b); err != nil {
 					errs[b] = err
 					atomic.StoreInt32(&failed, 1)
 				}
@@ -301,41 +284,6 @@ func runBatches(ctx context.Context, nBatches, workers int, fn func(worker, batc
 	return resilient.CtxErr(ctx)
 }
 
-// SimOptions configures a resilient Simulate run. The zero value is
-// the plain campaign: no checkpointing, no quarantine, GOMAXPROCS
-// workers.
-type SimOptions struct {
-	// Workers bounds the batch pool. Defaults to GOMAXPROCS.
-	Workers int
-	// Checkpoint, when enabled, snapshots the batch ledger (which
-	// batches completed and their results) every Checkpoint.Every
-	// completions, so a killed campaign resumes instead of restarting.
-	Checkpoint *resilient.Checkpointer
-	// CheckpointName names this campaign's snapshot inside
-	// Checkpoint.Dir. Default "fault".
-	CheckpointName string
-	// Quarantine recovers a panicking simulation batch, marks its
-	// faults Quarantined in the Report, and continues the campaign.
-	// Without it the recovered panic aborts the run as an ordinary
-	// error — the process never crashes either way.
-	Quarantine bool
-}
-
-// simCkptVersion guards the simCkpt layout.
-const simCkptVersion = 1
-
-// simCkpt is the batch-ledger snapshot of a Simulate run: which
-// batches completed and every completed batch's results, plus the
-// campaign identity (fault count, record length, stimulus hash) the
-// ledger is only valid for.
-type simCkpt struct {
-	NF       int
-	Patterns int
-	StimHash uint64
-	Done     []bool
-	Results  []Result
-}
-
 // HashRecord is FNV-1a over the record words. It is the engines'
 // stimulus identity: checkpoint resume refuses a snapshot taken on a
 // different stimulus, and the service layer's content-addressed result
@@ -351,239 +299,9 @@ func HashRecord(xs []int64) uint64 {
 	return h
 }
 
-// Simulate runs every fault in the universe against the input record
-// xs — treated as one period of a periodic (coherent) stimulus, so the
-// delay line is warmed and records are steady-state — and applies the
-// detector to each (good, faulty) record pair.
-// Faults are packed 63 per simulator pass (lane 0 is the good
-// machine); batches run concurrently on all CPUs. The good and faulty
-// records are exact gate-level outputs.
-//
-// Cancellation and deadlines on ctx are honored at batch granularity:
-// an interrupted run returns the partial Report (completed batches
-// carry their verdicts; the rest keep the fault identity with
-// FirstDiff -1 and no verdict) together with a typed error satisfying
-// errors.Is(err, resilient.ErrCanceled) or resilient.ErrDeadline.
-func Simulate(ctx context.Context, u *Universe, xs []int64, det Detector) (*Report, error) {
-	return SimulateOpts(ctx, u, xs, det, SimOptions{})
-}
-
-// SimulateOpts is Simulate with the resilience knobs exposed:
-// checkpoint/resume over the batch ledger and panic quarantine. The
-// Report is bit-identical to Simulate's for any worker count and any
-// kill/resume split — batch b's results depend only on (universe, xs,
-// b), never on scheduling.
-func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, opts SimOptions) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("fault: empty input record")
-	}
-	if det == nil {
-		return nil, fmt.Errorf("fault: nil detector")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nf := len(u.Faults)
-	nWorkerDets := (nf + 62) / 63 // batches; runBatches clamps workers the same way
-	if nWorkerDets > workers {
-		nWorkerDets = workers
-	}
-	// One detector per pool worker: scratch-backed when the detector
-	// supports it (the spectral record → spectrum → screen path is then
-	// allocation-free in steady state), det itself otherwise.
-	workerDets := make([]Detector, nWorkerDets)
-	for w := range workerDets {
-		d, err := workerDetector(det)
-		if err != nil {
-			return nil, err
-		}
-		workerDets[w] = d
-	}
-	results := make([]Result, nf)
-	// Prefill the fault identity so partial (canceled) and quarantined
-	// entries still say WHICH fault they cover. The tap lookup scans
-	// every tap net, so the batches reuse the prefilled Tap.
-	for i, f := range u.Faults {
-		results[i] = Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net), FirstDiff: -1}
-	}
-	const lanesPerBatch = 63
-	nBatches := (nf + lanesPerBatch - 1) / lanesPerBatch
-	batchBounds := func(b int) (int, int) {
-		lo := b * lanesPerBatch
-		hi := lo + lanesPerBatch
-		if hi > nf {
-			hi = nf
-		}
-		return lo, hi
-	}
-
-	// Checkpoint ledger: results of completed batches are copied into
-	// a mutex-guarded shadow slice at completion, so a snapshot never
-	// reads lanes another worker is still writing.
-	ckName := opts.CheckpointName
-	if ckName == "" {
-		ckName = "fault"
-	}
-	stimHash := HashRecord(xs)
-	var (
-		ledgerMu   sync.Mutex
-		done       []bool
-		ledger     []Result
-		sinceSave  int
-		doneAtLoad []bool
-	)
-	if opts.Checkpoint.Enabled() {
-		done = make([]bool, nBatches)
-		ledger = make([]Result, nf)
-		copy(ledger, results)
-		var st simCkpt
-		loaded, err := opts.Checkpoint.Load(ckName, simCkptVersion, &st)
-		if err != nil {
-			return nil, err
-		}
-		if loaded {
-			if st.NF != nf || st.Patterns != len(xs) || st.StimHash != stimHash {
-				return nil, fmt.Errorf(
-					"fault: checkpoint %q is from a different campaign (nf=%d patterns=%d, want nf=%d patterns=%d)",
-					ckName, st.NF, st.Patterns, nf, len(xs))
-			}
-			copy(results, st.Results)
-			copy(ledger, st.Results)
-			copy(done, st.Done)
-			doneAtLoad = append([]bool(nil), st.Done...)
-		}
-	}
-	saveLedgerLocked := func() error {
-		return opts.Checkpoint.Save(ckName, simCkptVersion, simCkpt{
-			NF: nf, Patterns: len(xs), StimHash: stimHash,
-			Done:    append([]bool(nil), done...),
-			Results: append([]Result(nil), ledger...),
-		})
-	}
-	completeBatch := func(b int) error {
-		if !opts.Checkpoint.Enabled() {
-			return nil
-		}
-		lo, hi := batchBounds(b)
-		ledgerMu.Lock()
-		defer ledgerMu.Unlock()
-		copy(ledger[lo:hi], results[lo:hi])
-		done[b] = true
-		sinceSave++
-		if sinceSave >= opts.Checkpoint.Interval() {
-			sinceSave = 0
-			//mstxvet:ignore lockorder deliberate snapshot under the ledger lock: the save must serialize with batch commits
-			return saveLedgerLocked()
-		}
-		return nil
-	}
-
-	// Observability: one span and three counter bumps per campaign —
-	// all no-ops when no registry is installed.
-	reg := obs.For(ctx)
-	var sp *obs.SpanHandle
-	if reg != nil {
-		_, sp = reg.Span(ctx, "fault.simulate")
-		defer sp.End()
-	}
-	var quarantined int64
-	err := runBatches(ctx, nBatches, workers, func(worker, batch int) error {
-		if doneAtLoad != nil && doneAtLoad[batch] {
-			return nil // restored from the checkpoint ledger
-		}
-		lo, hi := batchBounds(batch)
-		err := resilient.Call(fpBatch, func() error {
-			if err := resilient.Fire(fpBatch); err != nil {
-				return err
-			}
-			return simulateBatch(u, xs, workerDets[worker], results[lo:hi], u.Faults[lo:hi])
-		})
-		if err != nil {
-			var pe *resilient.PanicError
-			if !opts.Quarantine || !errors.As(err, &pe) {
-				return err
-			}
-			// Quarantine: reset the batch's lanes to the bare fault
-			// identity (the panic may have left them half-written) and
-			// mark them; the campaign continues.
-			for i := lo; i < hi; i++ {
-				f := u.Faults[i]
-				results[i] = Result{Fault: f, Tap: results[i].Tap, FirstDiff: -1, Quarantined: true}
-			}
-			atomic.AddInt64(&quarantined, int64(hi-lo))
-		}
-		return completeBatch(batch)
-	})
-	rep := &Report{Results: results, Patterns: len(xs)}
-	if err != nil {
-		if resilient.Interrupted(err) {
-			// Persist the ledger so a later -resume continues from here.
-			if opts.Checkpoint.Enabled() {
-				ledgerMu.Lock()
-				saveErr := saveLedgerLocked()
-				ledgerMu.Unlock()
-				if saveErr != nil {
-					return rep, saveErr
-				}
-			}
-			return rep, err
-		}
-		return nil, err
-	}
-	if opts.Checkpoint.Enabled() {
-		ledgerMu.Lock()
-		err = saveLedgerLocked()
-		ledgerMu.Unlock()
-		if err != nil {
-			return rep, err
-		}
-	}
-	if reg != nil {
-		reg.Counter("fault_sim_runs_total").Inc()
-		reg.Counter("fault_sim_faults_total").Add(int64(nf))
-		reg.Counter("fault_sim_batches_total").Add(int64(nBatches))
-		if q := atomic.LoadInt64(&quarantined); q > 0 {
-			reg.Counter("fault_sim_quarantined_total").Add(q)
-		}
-	}
-	return rep, nil
-}
-
-// simulateBatch simulates up to 63 faults in one pass and fills out,
-// whose entries arrive prefilled with each fault's Tap.
-func simulateBatch(u *Universe, xs []int64, det Detector, out []Result, faults []netlist.Fault) error {
-	sim := digital.NewFIRSim(u.FIR)
-	for i, f := range faults {
-		if err := sim.InjectFault(f, 1<<uint(i+1)); err != nil {
-			return err
-		}
-	}
-	lanes, err := sim.RunLanesPeriodic(xs, len(faults)+1)
-	if err != nil {
-		return err
-	}
-	good := lanes[0]
-	for i, f := range faults {
-		faulty := lanes[i+1]
-		res := Result{Fault: f, Tap: out[i].Tap}
-		res.FirstDiff, res.MaxAbsDiff = DiffStats(good, faulty)
-		res.Detected, err = det.Detect(good, faulty)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-	}
-	return nil
-}
-
 // Records captures the full good and per-fault output records for the
-// given faults (at most 63) in a single pass. Spectral detection needs
-// whole records to transform; callers batch larger universes
-// themselves or use SimulateRecords.
+// given faults (at most 63) in a single pass. Detection needs whole
+// records; the campaign engine batches larger universes.
 func Records(u *Universe, xs []int64, faults []netlist.Fault) (good []int64, faulty [][]int64, err error) {
 	if len(faults) > 63 {
 		return nil, nil, fmt.Errorf("fault: Records limited to 63 faults per pass, got %d", len(faults))
@@ -624,22 +342,10 @@ func RecordsFromBaseline(u *Universe, base *digital.Baseline, faults []netlist.F
 	return lanes[1:], nil
 }
 
-// RecordDetector is a Detector that additionally wants the record pair
-// for bookkeeping; SimulateRecords streams record pairs to it. (The
-// plain Detector interface is already record-based; this alias keeps
-// the call sites explicit.)
-type RecordDetector = Detector
-
-// SimulateRecords is Simulate, but guarantees the detector sees exact
-// full-length records (it always does; this entry point exists so
-// spectral detection campaigns read naturally at call sites).
-func SimulateRecords(ctx context.Context, u *Universe, xs []int64, det RecordDetector) (*Report, error) {
-	return Simulate(ctx, u, xs, det)
-}
-
 // SerialSimulate runs faults one at a time (one fault in all lanes per
-// pass). It produces identical results to Simulate and exists as the
-// baseline for the parallel-vs-serial ablation benchmark.
+// pass). It is the reference the campaign engine's reports are tested
+// against and the baseline of the parallel-vs-serial ablation
+// benchmark.
 func SerialSimulate(u *Universe, xs []int64, det Detector) (*Report, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("fault: empty input record")
@@ -648,9 +354,10 @@ func SerialSimulate(u *Universe, xs []int64, det Detector) (*Report, error) {
 		return nil, fmt.Errorf("fault: nil detector")
 	}
 	// The serial reference path detects through the same scratch-bound
-	// function the pool workers use, so its verdicts — bit-identical by
-	// the WorkerDetector contract — are also allocation-free per fault.
-	det, err := workerDetector(det)
+	// function the campaign's detect workers use, so its verdicts —
+	// bit-identical by the WorkerDetector contract — are also
+	// allocation-free per fault.
+	detect, err := BindDetector(det)
 	if err != nil {
 		return nil, err
 	}
@@ -671,7 +378,7 @@ func SerialSimulate(u *Universe, xs []int64, det Detector) (*Report, error) {
 		}
 		res := Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net)}
 		res.FirstDiff, res.MaxAbsDiff = DiffStats(goodRec, faulty)
-		res.Detected, err = det.Detect(goodRec, faulty)
+		res.Detected, err = detect(goodRec, faulty)
 		if err != nil {
 			return nil, err
 		}
@@ -684,8 +391,8 @@ func SerialSimulate(u *Universe, xs []int64, det Detector) (*Report, error) {
 // returns only the per-fault detection flags, with per-batch early
 // abort: a batch stops clocking as soon as every one of its fault
 // lanes has diverged from the good lane. For high-coverage stimuli
-// most faults fall within the first few samples, making this several
-// times faster than Simulate at the cost of the diagnostic fields.
+// most faults fall within the first few samples, making this faster
+// than a full campaign at the cost of the diagnostic fields.
 func DetectOnly(u *Universe, xs []int64) ([]bool, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("fault: empty input record")
@@ -732,7 +439,7 @@ func detectOnlyOnePass(u *Universe, xs, warmSrc []int64) ([]bool, error) {
 	detected := make([]bool, nf)
 	const lanesPerBatch = 63
 	nBatches := (nf + lanesPerBatch - 1) / lanesPerBatch
-	err := runBatches(context.Background(), nBatches, runtime.GOMAXPROCS(0), func(_, batch int) error {
+	err := runBatches(context.Background(), nBatches, runtime.GOMAXPROCS(0), func(batch int) error {
 		lo := batch * lanesPerBatch
 		hi := lo + lanesPerBatch
 		if hi > nf {
@@ -754,7 +461,7 @@ func detectBatch(u *Universe, xs, warmSrc []int64, out []bool, faults []netlist.
 			return err
 		}
 	}
-	// Periodic warm-up from the full record's tail, as in Simulate.
+	// Periodic warm-up from the full record's tail, as in RunPeriodic.
 	warm := u.FIR.Taps() - 1
 	if warm > len(warmSrc) {
 		warm = len(warmSrc)

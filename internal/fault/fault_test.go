@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -50,7 +51,7 @@ func TestSimulateDetectsInjectedFaults(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 28, 5)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	rep, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,25 +79,41 @@ func TestSimulateDetectsInjectedFaults(t *testing.T) {
 	}
 }
 
+// batchReport is the campaign computed on the 63-lane full-netlist
+// passes of Records — the bit-parallel reference SerialSimulate is
+// checked against, and a fast oracle for the report-level tests.
+func batchReport(t testing.TB, u *Universe, xs []int64, det Detector) *Report {
+	t.Helper()
+	rep := &Report{Patterns: len(xs)}
+	for lo := 0; lo < u.Size(); lo += 63 {
+		good, faulty, err := Records(u, xs, u.Faults[lo:min(lo+63, u.Size())])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range faulty {
+			f := u.Faults[lo+i]
+			res := Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net)}
+			res.FirstDiff, res.MaxAbsDiff = DiffStats(good, rec)
+			if res.Detected, err = det.Detect(good, rec); err != nil {
+				t.Fatal(err)
+			}
+			rep.Results = append(rep.Results, res)
+		}
+	}
+	return rep
+}
+
 func TestSerialMatchesParallel(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(48, 25, 3)
-	par, err := Simulate(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := SerialSimulate(u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Results) != len(ser.Results) {
-		t.Fatal("result count mismatch")
-	}
-	for i := range par.Results {
-		p, s := par.Results[i], ser.Results[i]
-		if p.Detected != s.Detected || p.FirstDiff != s.FirstDiff || p.MaxAbsDiff != s.MaxAbsDiff {
-			t.Fatalf("fault %v: parallel %+v != serial %+v", p.Fault, p, s)
+	for _, det := range []Detector{ExactDetector{}, ExactDetector{Threshold: 3}} {
+		ser, err := SerialSimulate(u, xs, det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par := batchReport(t, u, xs, det); !reflect.DeepEqual(ser, par) {
+			t.Fatalf("%+v: serial report differs from the bit-parallel passes:\nserial   %v\nparallel %v", det, ser, par)
 		}
 	}
 }
@@ -138,9 +155,6 @@ func TestSimulateSurfacesDetectorErrors(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 20, 3)
-	if _, err := Simulate(context.Background(), u, xs, errDetector{}); err == nil || !strings.Contains(err.Error(), "detector exploded") {
-		t.Errorf("Simulate swallowed the detector error: %v", err)
-	}
 	if _, err := SerialSimulate(u, xs, errDetector{}); err == nil || !strings.Contains(err.Error(), "detector exploded") {
 		t.Errorf("SerialSimulate swallowed the detector error: %v", err)
 	}
@@ -152,7 +166,7 @@ func TestRunBatchesFirstErrorByBatchOrder(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		var live int32
 		var peak int32
-		err := runBatches(context.Background(), 16, 4, func(_, b int) error {
+		err := runBatches(context.Background(), 16, 4, func(b int) error {
 			n := atomic.AddInt32(&live, 1)
 			for {
 				p := atomic.LoadInt32(&peak)
@@ -179,12 +193,12 @@ func TestRunBatchesFirstErrorByBatchOrder(t *testing.T) {
 			t.Fatalf("trial %d: %d batch goroutines live at once; pool must be bounded at 4", trial, p)
 		}
 	}
-	if err := runBatches(context.Background(), 0, 4, func(int, int) error { return errors.New("never") }); err != nil {
+	if err := runBatches(context.Background(), 0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("zero batches returned %v", err)
 	}
 	// More workers than batches must not deadlock or skip work.
 	var ran int32
-	if err := runBatches(context.Background(), 3, 64, func(int, int) error { atomic.AddInt32(&ran, 1); return nil }); err != nil {
+	if err := runBatches(context.Background(), 3, 64, func(int) error { atomic.AddInt32(&ran, 1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 3 {
@@ -223,50 +237,29 @@ func TestSimulateUsesWorkerDetectors(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 28, 5)
-	want, err := Simulate(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string, cd *countingWorkerDetector, rep *Report, wantNew int64) {
-		t.Helper()
-		if len(rep.Results) != len(want.Results) {
-			t.Fatalf("%s: result count mismatch", label)
-		}
-		for i := range want.Results {
-			if rep.Results[i].Detected != want.Results[i].Detected {
-				t.Fatalf("%s: fault %v verdict differs from plain ExactDetector",
-					label, rep.Results[i].Fault)
-			}
-		}
-		if cd.newCalls.Load() != wantNew {
-			t.Errorf("%s: NewWorkerDetect called %d times, want %d", label, cd.newCalls.Load(), wantNew)
-		}
-		if cd.boundCalls.Load() == 0 {
-			t.Errorf("%s: no detection went through the bound worker function", label)
-		}
-		if cd.directCalls.Load() != 0 {
-			t.Errorf("%s: %d detections bypassed the worker scratch path", label, cd.directCalls.Load())
-		}
-	}
-
+	want := batchReport(t, u, xs, ExactDetector{})
 	cd := &countingWorkerDetector{}
-	rep, err := SimulateOpts(context.Background(), u, xs, cd, SimOptions{Workers: 2})
+	rep, err := SerialSimulate(u, xs, cd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One bound detector per pool worker, clamped to the batch count.
-	wantDets := int64((len(u.Faults) + 62) / 63)
-	if wantDets > 2 {
-		wantDets = 2
+	if len(rep.Results) != len(want.Results) {
+		t.Fatal("result count mismatch")
 	}
-	check("parallel", cd, rep, wantDets)
-
-	cd = &countingWorkerDetector{}
-	ser, err := SerialSimulate(u, xs, cd)
-	if err != nil {
-		t.Fatal(err)
+	for i := range want.Results {
+		if rep.Results[i].Detected != want.Results[i].Detected {
+			t.Fatalf("fault %v verdict differs from plain ExactDetector", rep.Results[i].Fault)
+		}
 	}
-	check("serial", cd, ser, 1)
+	if n := cd.newCalls.Load(); n != 1 {
+		t.Errorf("NewWorkerDetect called %d times, want 1", n)
+	}
+	if cd.boundCalls.Load() == 0 {
+		t.Error("no detection went through the bound worker function")
+	}
+	if n := cd.directCalls.Load(); n != 0 {
+		t.Errorf("%d detections bypassed the worker scratch path", n)
+	}
 }
 
 func TestWorkerDetectorSetupErrorPropagates(t *testing.T) {
@@ -274,9 +267,6 @@ func TestWorkerDetectorSetupErrorPropagates(t *testing.T) {
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 28, 5)
 	cd := &countingWorkerDetector{newErr: errors.New("scratch build failed")}
-	if _, err := Simulate(context.Background(), u, xs, cd); err == nil || !strings.Contains(err.Error(), "scratch build failed") {
-		t.Errorf("Simulate swallowed the setup error: %v", err)
-	}
 	if _, err := SerialSimulate(u, xs, cd); err == nil || !strings.Contains(err.Error(), "scratch build failed") {
 		t.Errorf("SerialSimulate swallowed the setup error: %v", err)
 	}
@@ -288,12 +278,6 @@ func TestWorkerDetectorSetupErrorPropagates(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
-	if _, err := Simulate(context.Background(), u, nil, ExactDetector{}); err == nil {
-		t.Error("empty record accepted")
-	}
-	if _, err := Simulate(context.Background(), u, []int64{1}, nil); err == nil {
-		t.Error("nil detector accepted")
-	}
 	if _, err := SerialSimulate(u, nil, ExactDetector{}); err == nil {
 		t.Error("serial empty record accepted")
 	}
@@ -339,7 +323,7 @@ func TestTapAttribution(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, false)
 	xs := sineRecord(32, 25, 3)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	rep, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +373,8 @@ func TestTwoToneBeatsSingleToneCoverage(t *testing.T) {
 		one[i] = int64(math.Round(100 * math.Sin(7*ph)))
 		two[i] = int64(math.Round(50*math.Sin(7*ph) + 50*math.Sin(11*ph)))
 	}
-	rep1, err := Simulate(context.Background(), u, one, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Simulate(context.Background(), u, two, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep1 := batchReport(t, u, one, ExactDetector{})
+	rep2 := batchReport(t, u, two, ExactDetector{})
 	if rep2.Coverage()+5 < rep1.Coverage() {
 		t.Errorf("two-tone coverage %.1f%% much worse than single %.1f%%",
 			rep2.Coverage(), rep1.Coverage())
@@ -409,7 +387,7 @@ func TestUndetectedResults(t *testing.T) {
 	// All-zero input: nothing toggles, SA0 faults everywhere are
 	// undetectable, so there must be a healthy undetected set.
 	xs := make([]int64, 16)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	rep, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,21 +398,6 @@ func TestUndetectedResults(t *testing.T) {
 	for _, r := range und {
 		if r.Detected {
 			t.Fatal("UndetectedResults returned a detected fault")
-		}
-	}
-}
-
-func BenchmarkSimulateParallel(b *testing.B) {
-	fir, err := digital.NewFIR([]int64{5, -9, 13, -9, 5}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := NewUniverse(fir, true)
-	xs := sineRecord(128, 100, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(context.Background(), u, xs, ExactDetector{}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -461,10 +424,7 @@ func TestDetectOnlyMatchesSimulate(t *testing.T) {
 	}
 	u := NewUniverse(fir, true)
 	xs := sineRecord(96, 100, 7)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := batchReport(t, u, xs, ExactDetector{})
 	fast, err := DetectOnly(u, xs)
 	if err != nil {
 		t.Fatal(err)

@@ -62,8 +62,8 @@ func TestChaosSiteRegistryComplete(t *testing.T) {
 	}
 }
 
-// chaosFIR builds the small gate-level campaign shared by the fault
-// and spectral chaos cases.
+// chaosFIR builds the small gate-level campaign of the exact-compare
+// chaos cases.
 func chaosFIR(t testing.TB) (*fault.Universe, []int64) {
 	t.Helper()
 	fir, err := digital.NewFIR([]int64{3, -5, 7, 4}, 6)
@@ -76,6 +76,17 @@ func chaosFIR(t testing.TB) (*fault.Universe, []int64) {
 		xs[i] = int64(math.Round(24 * math.Sin(2*math.Pi*5*float64(i)/float64(n))))
 	}
 	return fault.NewUniverse(fir, false), xs
+}
+
+// chaosExact builds an exact-compare campaign engine on chaosFIR.
+func chaosExact(t testing.TB, opts campaign.Options) (*campaign.Engine, []int64) {
+	t.Helper()
+	u, xs := chaosFIR(t)
+	eng, err := campaign.New(u, fault.ExactDetector{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, xs
 }
 
 // chaosSpectral builds a calibrated spectral campaign engine.
@@ -200,124 +211,66 @@ func TestChaosMCEngineLane(t *testing.T) {
 	settle(t, baseline)
 }
 
-// TestChaosFaultBatch drives fault.batch through all three classes.
-func TestChaosFaultBatch(t *testing.T) {
-	defer resilient.Install(nil)
-	baseline := runtime.NumGoroutine() + 2
-	u, xs := chaosFIR(t)
-	ref, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fp := resilient.NewFailpoints()
-	boom := errors.New("chaos err")
-	fp.Set("fault.batch", resilient.Action{Err: boom, Times: 1})
-	resilient.Install(fp)
-	if _, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{}); !errors.Is(err, boom) {
-		t.Fatalf("err action surfaced as %v", err)
-	}
-	if fp.Hits("fault.batch") == 0 {
-		t.Fatal("site never fired")
-	}
-
-	fp = resilient.NewFailpoints()
-	fp.Set("fault.batch", resilient.Action{PanicValue: "chaos panic", Times: 1})
-	resilient.Install(fp)
-	rep, err := fault.SimulateOpts(context.Background(), u, xs, fault.ExactDetector{},
-		fault.SimOptions{Quarantine: true})
-	if err != nil {
-		t.Fatalf("quarantined campaign failed: %v", err)
-	}
-	// Full accounting: every fault either quarantined or identical to
-	// the reference verdict.
-	q := 0
-	for i, r := range rep.Results {
-		if r.Quarantined {
-			q++
-			continue
-		}
-		if r != ref.Results[i] {
-			t.Fatalf("lane %d diverged under quarantine", i)
-		}
-	}
-	if q != rep.Quarantined() || q == 0 {
-		t.Fatalf("quarantine accounting wrong: %d vs %d", q, rep.Quarantined())
-	}
-
-	fp = resilient.NewFailpoints()
-	fp.Set("fault.batch", resilient.Action{Delay: time.Millisecond})
-	resilient.Install(fp)
-	rep, err = fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rep.Results {
-		if rep.Results[i] != ref.Results[i] {
-			t.Fatalf("delay action changed lane %d", i)
-		}
-	}
-	resilient.Install(nil)
-	settle(t, baseline)
-}
-
 // TestChaosCampaignStages drives campaign.sim_batch and
-// campaign.detect_batch through all three classes.
+// campaign.detect_batch through all three classes, on the spectral
+// campaign and on the exact-compare one.
 func TestChaosCampaignStages(t *testing.T) {
 	defer resilient.Install(nil)
 	baseline := runtime.NumGoroutine() + 2
-	eng, xs := chaosSpectral(t, campaign.Options{})
-	ref, _, err := eng.Run(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, site := range []string{"campaign.sim_batch", "campaign.detect_batch"} {
-		fp := resilient.NewFailpoints()
-		boom := errors.New("chaos err")
-		fp.Set(site, resilient.Action{Err: boom, Times: 1})
-		resilient.Install(fp)
-		if _, _, err := eng.Run(context.Background(), xs); !errors.Is(err, boom) {
-			t.Fatalf("%s err action surfaced as %v", site, err)
-		}
-		if fp.Hits(site) == 0 {
-			t.Fatalf("%s never fired", site)
-		}
-
-		fp = resilient.NewFailpoints()
-		fp.Set(site, resilient.Action{PanicValue: "chaos panic", Times: 1})
-		resilient.Install(fp)
-		qeng, xs2 := chaosSpectral(t, campaign.Options{Quarantine: true})
-		rep, stats, err := qeng.Run(context.Background(), xs2)
-		if err != nil {
-			t.Fatalf("%s quarantined campaign failed: %v", site, err)
-		}
-		q := 0
-		for i, r := range rep.Results {
-			if r.Quarantined {
-				q++
-				continue
-			}
-			if r != ref.Results[i] {
-				t.Fatalf("%s: lane %d diverged under quarantine", site, i)
-			}
-		}
-		if q != stats.Quarantined || q == 0 {
-			t.Fatalf("%s quarantine accounting wrong: %d vs %d", site, q, stats.Quarantined)
-		}
-
-		fp = resilient.NewFailpoints()
-		fp.Set(site, resilient.Action{Delay: time.Millisecond})
-		resilient.Install(fp)
-		rep, _, err = eng.Run(context.Background(), xs)
+	for _, build := range []func(testing.TB, campaign.Options) (*campaign.Engine, []int64){chaosSpectral, chaosExact} {
+		eng, xs := build(t, campaign.Options{})
+		ref, _, err := eng.Run(context.Background(), xs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range rep.Results {
-			if rep.Results[i] != ref.Results[i] {
-				t.Fatalf("%s delay action changed lane %d", site, i)
+		for _, site := range []string{"campaign.sim_batch", "campaign.detect_batch"} {
+			fp := resilient.NewFailpoints()
+			boom := errors.New("chaos err")
+			fp.Set(site, resilient.Action{Err: boom, Times: 1})
+			resilient.Install(fp)
+			if _, _, err := eng.Run(context.Background(), xs); !errors.Is(err, boom) {
+				t.Fatalf("%s err action surfaced as %v", site, err)
 			}
+			if fp.Hits(site) == 0 {
+				t.Fatalf("%s never fired", site)
+			}
+
+			fp = resilient.NewFailpoints()
+			fp.Set(site, resilient.Action{PanicValue: "chaos panic", Times: 1})
+			resilient.Install(fp)
+			qeng, xs2 := build(t, campaign.Options{Quarantine: true})
+			rep, stats, err := qeng.Run(context.Background(), xs2)
+			if err != nil {
+				t.Fatalf("%s quarantined campaign failed: %v", site, err)
+			}
+			q := 0
+			for i, r := range rep.Results {
+				if r.Quarantined {
+					q++
+					continue
+				}
+				if r != ref.Results[i] {
+					t.Fatalf("%s: lane %d diverged under quarantine", site, i)
+				}
+			}
+			if q != stats.Quarantined || q == 0 {
+				t.Fatalf("%s quarantine accounting wrong: %d vs %d", site, q, stats.Quarantined)
+			}
+
+			fp = resilient.NewFailpoints()
+			fp.Set(site, resilient.Action{Delay: time.Millisecond})
+			resilient.Install(fp)
+			rep, _, err = eng.Run(context.Background(), xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rep.Results {
+				if rep.Results[i] != ref.Results[i] {
+					t.Fatalf("%s delay action changed lane %d", site, i)
+				}
+			}
+			resilient.Install(nil)
 		}
-		resilient.Install(nil)
 	}
 	settle(t, baseline)
 }
@@ -410,9 +363,8 @@ func TestChaosCheckpointSave(t *testing.T) {
 	}
 
 	// The fault campaign must abort on save failure too.
-	u, xs := chaosFIR(t)
-	if _, err := fault.SimulateOpts(context.Background(), u, xs, fault.ExactDetector{},
-		fault.SimOptions{Checkpoint: ck, CheckpointName: "f"}); !errors.Is(err, boom) {
+	eng, xs := chaosExact(t, campaign.Options{Checkpoint: ck, CheckpointName: "f"})
+	if _, _, err := eng.Run(context.Background(), xs); !errors.Is(err, boom) {
 		t.Fatalf("fault checkpoint-save failure surfaced as %v", err)
 	}
 }

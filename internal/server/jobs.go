@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
 	"mstx/internal/campaign"
 	"mstx/internal/core"
@@ -190,6 +192,10 @@ func fnv1a(h uint64, s string) uint64 {
 
 const fnvOffset = uint64(14695981039346656037)
 
+// maxDeadlineMS is the largest job budget, in milliseconds, whose
+// time.Duration does not overflow.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // normalize validates the spec and fills in the kind's defaults, so
 // the canonical identity string never depends on which zero fields the
 // client omitted.
@@ -279,11 +285,14 @@ func (sp *Spec) normalize() error {
 	default:
 		return fmt.Errorf("unknown job kind %q (want campaign, mc, translate or soc)", sp.Kind)
 	}
-	if sp.TimeoutSec < 0 {
-		return fmt.Errorf("timeout_sec %g must be ≥ 0", sp.TimeoutSec)
+	// Both spellings are bounded by the largest budget a time.Duration
+	// holds, so jobDeadline never overflows; the negated comparison
+	// also rejects NaN.
+	if !(sp.TimeoutSec >= 0 && sp.TimeoutSec*1000 <= float64(maxDeadlineMS)) {
+		return fmt.Errorf("timeout_sec %g must be in [0, %g]", sp.TimeoutSec, float64(maxDeadlineMS)/1000)
 	}
-	if sp.DeadlineMS < 0 {
-		return fmt.Errorf("deadline_ms %d must be ≥ 0", sp.DeadlineMS)
+	if sp.DeadlineMS < 0 || sp.DeadlineMS > maxDeadlineMS {
+		return fmt.Errorf("deadline_ms %d must be in [0, %d]", sp.DeadlineMS, maxDeadlineMS)
 	}
 	if sp.DeadlineMS == 0 && sp.TimeoutSec > 0 {
 		sp.DeadlineMS = int64(sp.TimeoutSec * 1000)

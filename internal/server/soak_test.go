@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"mstx/internal/analysis"
-	"mstx/internal/digital"
-	"mstx/internal/fault"
 	"mstx/internal/resilient"
 )
 
@@ -73,9 +71,6 @@ func soakActions(rng *rand.Rand) map[string]resilient.Action {
 		"campaign.sim_batch":    simBatch,
 		"campaign.detect_batch": {Err: errors.New("soak: detect batch fault"), After: rng.Intn(2), Times: 1},
 		"soc.schedule":          {Err: errors.New("soak: schedule fault"), After: rng.Intn(3), Times: 1},
-		// The logic-level fault campaign is driven as side traffic (the
-		// service's spectral path does not traverse fault.batch).
-		"fault.batch": {Err: errors.New("soak: batch fault"), Times: 1},
 		// Every ledger and engine snapshot save is slowed, widening the
 		// windows where cancels, retries and finishes race the
 		// checkpointer.
@@ -194,20 +189,6 @@ func TestChaosSoak(t *testing.T) {
 		fp.Set(site, a)
 	}
 	resilient.Install(fp)
-
-	// Side traffic for the one site the service does not reach: a tiny
-	// logic-level fault campaign. The injected batch fault is expected.
-	fir, err := digital.NewFIR([]int64{3, -5, 7}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]int64, 64)
-	for i := range xs {
-		xs[i] = int64(i%7) - 3
-	}
-	if _, err := fault.Simulate(context.Background(), fault.NewUniverse(fir, false), xs, fault.ExactDetector{}); err == nil {
-		t.Log("side-traffic fault campaign completed before its failpoint applied")
-	}
 
 	type tracked struct {
 		id  string

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -103,6 +104,41 @@ func TestJobDeadlineResolution(t *testing.T) {
 	}
 	if legacy.DeadlineMS != 1500 {
 		t.Fatalf("timeout_sec fold: deadline_ms %d, want 1500", legacy.DeadlineMS)
+	}
+	// The largest budget a time.Duration holds is accepted and resolves
+	// to itself.
+	top := &Spec{Kind: "translate", Param: "IIP3", DeadlineMS: maxDeadlineMS}
+	if err := top.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if d := jobDeadline(top, 0, 0); d != time.Duration(maxDeadlineMS)*time.Millisecond {
+		t.Fatalf("largest budget resolved to %v", d)
+	}
+	// Budgets past it would overflow the Duration (deadline_ms wraps
+	// to a sub-millisecond budget; timeout_sec folds to a negative
+	// deadline_ms): normalize refuses them, and so does the service,
+	// with a typed 400.
+	overflow := []Spec{
+		{Kind: "translate", Param: "IIP3", DeadlineMS: 18446744073710},
+		{Kind: "translate", Param: "IIP3", DeadlineMS: maxDeadlineMS + 1},
+		{Kind: "translate", Param: "IIP3", TimeoutSec: 1e30},
+		{Kind: "translate", Param: "IIP3", TimeoutSec: math.Inf(1)},
+		{Kind: "translate", Param: "IIP3", TimeoutSec: math.NaN()},
+	}
+	for _, sp := range overflow {
+		in := sp
+		if err := in.normalize(); err == nil {
+			t.Errorf("normalize accepted deadline_ms %d timeout_sec %g (resolves to %v)",
+				sp.DeadlineMS, sp.TimeoutSec, jobDeadline(&in, 0, 0))
+		}
+	}
+	_, ts := newTestService(t, Config{Workers: 1})
+	for _, sp := range overflow[:3] {
+		resp, snap := postJob(t, ts, "", sp)
+		if resp.StatusCode != http.StatusBadRequest || snap.Error == nil || snap.Error.Type != ErrTypeBadRequest {
+			t.Errorf("deadline_ms %d timeout_sec %g: status %s, error %+v, want a typed 400",
+				sp.DeadlineMS, sp.TimeoutSec, resp.Status, snap.Error)
+		}
 	}
 }
 

@@ -298,13 +298,14 @@ func (d *Detector) DetectRecord(rec []int64, sc *Scratch) (bool, error) {
 // Detect implements fault.Detector: the faulty record's spectrum must
 // deviate from the ideal-good reference by more than the floor-derived
 // threshold in at least one compared bin. The good record passed by
-// the fault simulator is ignored — the reference is the ideal-input
-// good circuit, as in the paper's methodology.
+// the campaign is ignored — the reference is the ideal-input good
+// circuit, as in the paper's methodology — so the campaign engine's
+// screened verdict, Detect(good, good), is the good record's own.
 //
 // This entry point allocates its spectrum temporaries per call; engines
-// that detect in a loop use NewWorkerDetect (fault.Simulate and the
-// campaign engine pick it up automatically) for the allocation-free
-// path.
+// that detect in a loop use NewWorkerDetect (the campaign engine and
+// fault.SerialSimulate pick it up automatically) for the
+// allocation-free path.
 func (d *Detector) Detect(good, faulty []int64) (bool, error) {
 	return d.DetectRecord(faulty, nil)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/fault"
@@ -133,6 +134,16 @@ func TestTinyFaultBelowFloorEscapes(t *testing.T) {
 	}
 }
 
+// runEngine runs one campaign on the pooled engine.
+func runEngine(u *fault.Universe, xs []int64, det fault.Detector) (*fault.Report, error) {
+	eng, err := campaign.New(u, det, campaign.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
+	return rep, err
+}
+
 func TestCoverageDropsWithNoiseFloorAndRecoversWithPatterns(t *testing.T) {
 	// The paper's E8 shape at miniature scale: exact detection >
 	// spectral with floor; and a longer record recovers some faults.
@@ -149,7 +160,7 @@ func TestCoverageDropsWithNoiseFloorAndRecoversWithPatterns(t *testing.T) {
 		if err := det.CalibrateFloor(goodNoisy, floorScale); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := fault.Simulate(context.Background(), u, ideal, det)
+		rep, err := runEngine(u, ideal, det)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +169,7 @@ func TestCoverageDropsWithNoiseFloorAndRecoversWithPatterns(t *testing.T) {
 	exactCoverage := func(n int) float64 {
 		fir, ideal, _, _, _, _ := buildFilterAndRecords(t, n)
 		u := fault.NewUniverse(fir, true)
-		rep, err := fault.Simulate(context.Background(), u, ideal, fault.ExactDetector{})
+		rep, err := runEngine(u, ideal, fault.ExactDetector{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,11 +56,11 @@ go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs
 
 echo "== chaos suite (failpoints, race) =="
 # Deterministic fault injection at the registered engine sites
-# (mcengine.lane, fault.batch, campaign.sim_batch/detect_batch,
-# soc.schedule, resilient.checkpoint.save): injected errors, panics
-# and slow batches must never leak goroutines, lose samples, or
-# corrupt the partial accounting. -count=2 so a cached result never
-# masks a race.
+# (mcengine.lane, campaign.sim_batch/detect_batch — both the exact and
+# the spectral campaign run on that engine — soc.schedule,
+# resilient.checkpoint.save): injected errors, panics and slow batches
+# must never leak goroutines, lose samples, or corrupt the partial
+# accounting. -count=2 so a cached result never masks a race.
 go test -race -count=2 ./internal/resilient ./internal/fault
 
 echo "== SOC scheduler property wall (race) =="
@@ -169,6 +169,12 @@ diff "$tmp/mstxd_e9.txt" "$tmp/mstxd_e9_cached.txt"
 kill -TERM "$mstxd_pid" 2>/dev/null || true
 wait "$mstxd_pid" 2>/dev/null || true
 
+echo "== benchmark smoke (mstxbench module tests) =="
+# The end-to-end benchmark's own tests: workload generation, the
+# result checks and the per-layer traced replay, which calls
+# core.RunSpectralOpts directly. ~45 s on a 2-core Xeon.
+(cd mstxbench && go test ./...)
+
 echo "== bench smoke (MC losses pair) =="
 go test -run '^$' -bench 'BenchmarkMCLosses' -benchtime 3x .
 
@@ -230,11 +236,13 @@ go test -run '^$' -bench 'BenchmarkMstxvet' -benchmem -benchtime 3x \
 go run ./cmd/benchrecord -out BENCH_mstxvet.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 50 -max-allocs-regress 1 <"$tmp/bench_mstxvet.txt"
 
-echo "== fuzz smoke (netlist parser, ledger replay) =="
+echo "== fuzz smoke (netlist parser, ledger replay, job spec) =="
 # Ten seconds of coverage-guided fuzzing each on top of the seed
-# corpora; any panic, round-trip violation or untyped replay error
-# fails the gate.
+# corpora; any panic, round-trip violation, untyped replay error, or
+# job spec that normalizes unstably, to an overflowing deadline or to
+# a JSON-unstable identity fails the gate.
 go test -fuzz=FuzzParseNetlist -fuzztime=10s ./internal/netlist
 go test -run '^$' -fuzz=FuzzLedgerReplay -fuzztime=10s ./internal/resilient
+go test -run '^$' -fuzz=FuzzSpecNormalize -fuzztime=10s ./internal/server
 
 echo "== check OK (chaos soak: $soak_status, seed $soak_seed) =="
